@@ -48,10 +48,12 @@ func (pc *passCtx) refreshLiveness(work *ir.Func) {
 	pc.livenessRuns++
 }
 
-// emitCounters publishes the pass's analysis-run totals. On the
-// non-coalescing path both must be exactly 1; coalescing adds one
-// liveness run per merging round plus one for the post-coalesce
-// renumber.
+// emitCounters publishes the pass's analysis-run totals, counting
+// full liveness solves only. On the non-coalescing path both must be
+// exactly 1. Aggressive coalescing adds one liveness run for the
+// post-coalesce renumber, however many rounds it takes (its rounds
+// solve liveness over their copy registers alone); conservative
+// coalescing adds one more per merging round.
 func (pc *passCtx) emitCounters(tr *obs.Tracer) {
 	if !tr.Enabled() {
 		return

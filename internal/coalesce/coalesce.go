@@ -6,15 +6,22 @@
 //
 // This is the pre-pass flavor of coalescing: each move is tested once
 // (aggressively, or conservatively under Options.ConservativeCoalesce)
-// against the full-pressure interference graph before any
-// simplification happens. The complementary approach — retesting
-// every move as simplification lowers its neighborhood's degrees —
-// lives in internal/irc, the George–Appel iterated-register-coalescing
-// worklist machine that the irc heuristic runs as a terminal round on
-// top of this pre-pass.
+// against the full-pressure interference relation before any
+// simplification happens. A round asks only whether each candidate
+// copy's two ends interfere, so it answers exactly that: liveness
+// restricted to the candidates' registers, and a backward walk that
+// checks each def against its own copy partners alone. Nothing builds
+// the whole graph unless a graph is needed — the conservative test
+// reads neighbor lists, and a run that merges nothing returns its
+// graph. The complementary approach — retesting every move as
+// simplification lowers its neighborhood's degrees — lives in
+// internal/irc, the George–Appel iterated-register-coalescing worklist
+// machine that the irc heuristic runs as a terminal round on top of
+// this pre-pass.
 package coalesce
 
 import (
+	"regalloc/internal/bitset"
 	"regalloc/internal/dataflow"
 	"regalloc/internal/ig"
 	"regalloc/internal/ir"
@@ -28,10 +35,11 @@ type Stats struct {
 	// Rounds is the number of build/coalesce rounds run (always at
 	// least one; the last round merges nothing).
 	Rounds int
-	// LivenessRuns counts the liveness recomputations forced by
-	// merging rounds: the round that reaches fixpoint reuses the
-	// liveness it was handed, so a function with no coalescable
-	// moves costs zero recomputations.
+	// LivenessRuns counts the full liveness solves the run made. Only
+	// conservative rounds after a merge need one (their Briggs test
+	// reads a full graph); aggressive rounds solve liveness over their
+	// candidate registers alone, which is not counted, so an
+	// aggressive run always reports zero.
 	LivenessRuns int
 }
 
@@ -45,33 +53,16 @@ type Stats struct {
 // and could keep the allocator from converging.
 func Run(f *ir.Func) (int, *ig.Graph) {
 	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), nil, 1, nil)
-	return st.Moves, finalGraph(f, g, nil)
-}
-
-// RunTraced is Run with an observability tracer: each build/coalesce
-// round emits counters for the moves examined and merged, which is
-// finer-grained than the total Run returns (the fixpoint loop's
-// convergence is visible round by round). A nil tracer makes it
-// identical to Run.
-func RunTraced(f *ir.Func, tr *obs.Tracer) (int, *ig.Graph) {
-	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), nil, 1, tr)
-	return st.Moves, finalGraph(f, g, tr)
-}
-
-// RunConservativeTraced is RunConservative with an observability
-// tracer; see RunTraced.
-func RunConservativeTraced(f *ir.Func, k func(ir.Class) int, tr *obs.Tracer) (int, *ig.Graph) {
-	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), k, 1, tr)
-	return st.Moves, finalGraph(f, g, tr)
+	return st.Moves, finalGraph(f, g)
 }
 
 // finalGraph upholds the convenience entry points' contract of always
 // returning a graph: when RunWithLiveness skipped the final build
 // (because merged moves force the caller to renumber and rebuild
 // anyway), build one for the rewritten function here.
-func finalGraph(f *ir.Func, g *ig.Graph, tr *obs.Tracer) *ig.Graph {
+func finalGraph(f *ir.Func, g *ig.Graph) *ig.Graph {
 	if g == nil {
-		g = ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 1, tr)
+		g = ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 1, nil)
 	}
 	return g
 }
@@ -86,54 +77,47 @@ func finalGraph(f *ir.Func, g *ig.Graph, tr *obs.Tracer) *ig.Graph {
 // paper's own allocator coalesces aggressively.
 func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
 	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), k, 1, nil)
-	return st.Moves, finalGraph(f, g, nil)
-}
-
-// interferer is the one question a coalescing round asks of the
-// interference relation.
-type interferer interface {
-	Interfere(a, b int32) bool
+	return st.Moves, finalGraph(f, g)
 }
 
 // RunWithLiveness is the allocator's cache-aware entry point: lv must
-// be a current liveness for f, which the first build/coalesce round
-// reuses instead of recomputing. Liveness is revalidated only when a
-// round actually merged moves (the rewrite renames registers, so the
-// cached sets go stale); the common converged round costs no dataflow
-// at all. conservativeK, when non-nil, switches to the Briggs
-// conservative test; workers > 1 shards the graph builds (see
-// ig.BuildWithLiveness).
+// be a current full liveness for f, which the first round reuses.
+// conservativeK, when non-nil, switches to the Briggs conservative
+// test; workers > 1 shards the graph builds (see ig.BuildWithLiveness).
+//
+// Each round lists its candidate copies and asks, for each, whether
+// its ends interfere (see interfering). Later aggressive rounds answer
+// from liveness solved over the candidates' registers alone — the
+// rewrite renamed registers, so lv is stale, but only those bits are
+// read. Conservative rounds build the full graph the Briggs test
+// reads, and so re-solve full liveness after every merging round.
 //
 // The returned graph is non-nil only when no move was merged: a
 // convergence-without-merges round's graph still describes f exactly,
 // so the caller can color on it directly. After any merge, f has been
 // rewritten and the caller must renumber before building the graph it
 // will color on — returning one here would only be thrown away, so
-// none is built. (The aggressive rounds after the first never build
-// full graphs at all: they only need membership queries, which the
-// much cheaper ig.BuildMatrix answers. Conservative rounds always
-// need full graphs — the Briggs test reads neighbor lists.)
+// none is built.
 func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, workers int, tr *obs.Tracer) (Stats, *ig.Graph) {
 	var st Stats
+	var bt briggsScratch // per call: Assemble runs calls concurrently
 	for {
-		var q interferer
+		examined, cands := candidates(f)
+		partners := indexPartners(f.NumRegs(), cands)
+		regs := partners.regs()
 		var g *ig.Graph
-		if conservativeK != nil || st.Rounds == 0 {
-			// The first round's graph doubles as the return value when
-			// the function has no coalescable moves — the overwhelmingly
-			// common case on every pass after the first.
+		if conservativeK != nil {
 			g = ig.BuildWithLiveness(f, lv, workers, tr)
-			q = g
-		} else {
-			q = ig.BuildMatrix(f, lv, workers, tr)
+		} else if st.Rounds > 0 && len(cands) > 0 {
+			lv = dataflow.ComputeLivenessOf(f, regs)
 		}
-		examined := 0
+		interferes := partners.interfering(f, lv, len(cands))
+
 		parent := make([]ir.Reg, f.NumRegs())
 		for i := range parent {
 			parent[i] = ir.Reg(i)
 		}
-		var find func(ir.Reg) ir.Reg
-		find = func(x ir.Reg) ir.Reg {
+		find := func(x ir.Reg) ir.Reg {
 			for parent[x] != x {
 				parent[x] = parent[parent[x]]
 				x = parent[x]
@@ -143,50 +127,31 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 
 		merged := 0
 		touched := make([]bool, f.NumRegs())
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				if !in.IsMove() || in.A == ir.NoReg {
-					continue
-				}
-				dst, src := in.Dst, in.A
-				if dst == src {
-					continue
-				}
-				examined++
-				// Only coalesce pairs untouched in this round: the
-				// static graph g cannot answer interference queries
-				// about a range merged moments ago (its true
-				// neighbor set is already larger than g records).
-				// Chained copies are picked up by the next
-				// build/coalesce round.
-				if touched[dst] || touched[src] {
-					continue
-				}
-				if f.RegClass(dst) != f.RegClass(src) {
-					continue
-				}
-				if f.RegFlags(dst)&ir.FlagSpillTemp != 0 || f.RegFlags(src)&ir.FlagSpillTemp != 0 {
-					continue
-				}
-				if q.Interfere(int32(dst), int32(src)) {
-					continue
-				}
-				if conservativeK != nil && !briggsTest(g, f, dst, src, conservativeK) {
-					continue
-				}
-				touched[dst] = true
-				touched[src] = true
-				// Merge into the smaller id for determinism.
-				if src < dst {
-					dst, src = src, dst
-				}
-				parent[src] = dst
-				merged++
+		for i, c := range cands {
+			dst, src := c.dst, c.src
+			// Only coalesce pairs untouched in this round: the
+			// interference answers describe the ranges as they were
+			// when the round began, not a range merged moments ago
+			// (its true neighbor set is already larger). Chained
+			// copies are picked up by the next round.
+			if touched[dst] || touched[src] || interferes[i] {
+				continue
 			}
+			if conservativeK != nil && !bt.test(g, dst, src, conservativeK(f.RegClass(dst))) {
+				continue
+			}
+			touched[dst] = true
+			touched[src] = true
+			// Merge into the smaller id for determinism.
+			if src < dst {
+				dst, src = src, dst
+			}
+			parent[src] = dst
+			merged++
 		}
 		if tr.Enabled() {
 			tr.Counter(obs.PhaseCoalesce, "coalesce.examined", int64(examined))
+			tr.Counter(obs.PhaseCoalesce, "coalesce.candidate_regs", int64(len(regs)))
 			tr.Counter(obs.PhaseCoalesce, "coalesce.merged", int64(merged))
 		}
 		st.Rounds++
@@ -195,42 +160,173 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 				tr.Counter(obs.PhaseCoalesce, "coalesce.rounds", int64(st.Rounds))
 			}
 			if st.Moves > 0 {
-				g = nil // f was rewritten; see the contract above
+				return st, nil // f was rewritten; see the contract above
+			}
+			if g == nil {
+				// The first round, so lv is still the caller's full
+				// liveness for f.
+				g = ig.BuildWithLiveness(f, lv, workers, tr)
 			}
 			return st, g
 		}
 		st.Moves += merged
 		rewrite(f, find)
-		// The rewrite renamed registers, invalidating lv; the next
-		// round needs fresh sets.
-		lv = dataflow.ComputeLiveness(f)
-		st.LivenessRuns++
+		if conservativeK != nil {
+			lv = dataflow.ComputeLiveness(f)
+			st.LivenessRuns++
+		}
 	}
 }
 
-// briggsTest is the conservative-coalescing criterion: merging dst
-// and src is safe when the combined node has fewer than k neighbors
-// of significant degree. A neighbor adjacent to both ends loses one
-// edge in the merge, so its effective degree drops by one.
-func briggsTest(g *ig.Graph, f *ir.Func, dst, src ir.Reg, kOf func(ir.Class) int) bool {
-	k := kOf(f.RegClass(dst))
-	deg := make(map[int32]int)
-	for _, nb := range g.Neighbors(int32(dst)) {
-		deg[nb] = g.Degree(nb)
-	}
-	for _, nb := range g.Neighbors(int32(src)) {
-		if _, common := deg[nb]; common {
-			deg[nb] = g.Degree(nb) - 1
-		} else {
-			deg[nb] = g.Degree(nb)
+// copyPair is one candidate copy: a move between two distinct
+// registers of the same class, neither of them a spill temporary.
+type copyPair struct{ dst, src ir.Reg }
+
+// candidates lists f's candidate copies in program order, and counts
+// every move between two distinct registers (coalesce.examined).
+func candidates(f *ir.Func) (examined int, cands []copyPair) {
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if !in.IsMove() || in.A == ir.NoReg || in.Dst == in.A {
+				continue
+			}
+			examined++
+			dst, src := in.Dst, in.A
+			if f.RegClass(dst) != f.RegClass(src) {
+				continue
+			}
+			if f.RegFlags(dst)&ir.FlagSpillTemp != 0 || f.RegFlags(src)&ir.FlagSpillTemp != 0 {
+				continue
+			}
+			cands = append(cands, copyPair{dst, src})
 		}
 	}
-	delete(deg, int32(dst))
-	delete(deg, int32(src))
+	return examined, cands
+}
+
+// partner is one end of a candidate copy seen from the other end.
+type partner struct {
+	reg  ir.Reg
+	cand int32 // index of the copy in the candidate list
+}
+
+// partnerIndex lists each register's copy partners: those of r are
+// adj[off[r]:off[r+1]].
+type partnerIndex struct {
+	off []int32
+	adj []partner
+}
+
+func indexPartners(nregs int, cands []copyPair) partnerIndex {
+	off := make([]int32, nregs+1)
+	for _, c := range cands {
+		off[c.dst+1]++
+		off[c.src+1]++
+	}
+	for r := 1; r <= nregs; r++ {
+		off[r] += off[r-1]
+	}
+	adj := make([]partner, off[nregs])
+	next := append([]int32(nil), off[:nregs]...)
+	for i, c := range cands {
+		adj[next[c.dst]] = partner{c.src, int32(i)}
+		next[c.dst]++
+		adj[next[c.src]] = partner{c.dst, int32(i)}
+		next[c.src]++
+	}
+	return partnerIndex{off, adj}
+}
+
+// regs returns the registers with at least one copy partner, in
+// ascending order: the round's candidate registers.
+func (p partnerIndex) regs() []ir.Reg {
+	var regs []ir.Reg
+	for r := 0; r+1 < len(p.off); r++ {
+		if p.off[r+1] > p.off[r] {
+			regs = append(regs, ir.Reg(r))
+		}
+	}
+	return regs
+}
+
+// interfering reports, for each of the n candidate copies, whether
+// its two ends interfere, exactly as ig.BuildWithLiveness's graph for
+// the same f and lv would answer. lv may be a restricted solve, but
+// must cover every candidate register.
+//
+// It is the graph build's walk — every def against the registers live
+// after it, except a move's own source — with the live-after check
+// made only against the def's copy partners, never the whole set.
+func (p partnerIndex) interfering(f *ir.Func, lv *dataflow.Liveness, n int) []bool {
+	out := make([]bool, n)
+	if n == 0 {
+		return out
+	}
+	for _, b := range f.Blocks {
+		lv.LiveAcross(f, b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
+			d := in.Def()
+			if d == ir.NoReg {
+				return
+			}
+			moveSrc := ir.NoReg
+			if in.IsMove() {
+				moveSrc = in.A
+			}
+			for _, q := range p.adj[p.off[d]:p.off[d+1]] {
+				if q.reg != moveSrc && liveAfter.Has(lv.Bit(q.reg)) {
+					out[q.cand] = true
+				}
+			}
+		})
+	}
+	return out
+}
+
+// briggsScratch backs the conservative test with a stamp array and a
+// degree array over the graph's nodes, in place of a map per query.
+// It is owned by one RunWithLiveness call and never shared.
+type briggsScratch struct {
+	stamp []int // 2q-1: a neighbor of query q's merged node; 2q: counted
+	deg   []int // effective degree of a neighbor stamped 2q-1
+	q     int   // queries made
+}
+
+// test is the conservative-coalescing criterion: merging dst and src
+// is safe when the combined node has fewer than k neighbors of
+// significant degree. A neighbor adjacent to both ends loses one edge
+// in the merge, so its effective degree drops by one.
+func (s *briggsScratch) test(g *ig.Graph, dst, src ir.Reg, k int) bool {
+	if n := g.NumNodes(); len(s.stamp) < n {
+		s.stamp = make([]int, n)
+		s.deg = make([]int, n)
+		s.q = 0
+	}
+	s.q++
+	seen, counted := 2*s.q-1, 2*s.q
+	for _, nb := range g.Neighbors(int32(dst)) {
+		s.stamp[nb] = seen
+		s.deg[nb] = g.Degree(nb)
+	}
+	for _, nb := range g.Neighbors(int32(src)) {
+		if s.stamp[nb] == seen {
+			s.deg[nb] = g.Degree(nb) - 1
+		} else {
+			s.stamp[nb] = seen
+			s.deg[nb] = g.Degree(nb)
+		}
+	}
+	// The merged pair itself is no neighbor of the merged node.
+	s.stamp[dst], s.stamp[src] = counted, counted
 	significant := 0
-	for _, d := range deg {
-		if d >= k {
-			significant++
+	for _, nbs := range [2][]int32{g.Neighbors(int32(dst)), g.Neighbors(int32(src))} {
+		for _, nb := range nbs {
+			if s.stamp[nb] == seen {
+				s.stamp[nb] = counted
+				if s.deg[nb] >= k {
+					significant++
+				}
+			}
 		}
 	}
 	return significant < k

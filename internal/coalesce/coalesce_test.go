@@ -1,11 +1,17 @@
 package coalesce_test
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"sync"
 	"testing"
 
+	"regalloc"
 	"regalloc/internal/coalesce"
 	"regalloc/internal/ir"
 	"regalloc/internal/irinterp"
+	"regalloc/internal/workloads"
 )
 
 func countMoves(f *ir.Func) int {
@@ -213,5 +219,61 @@ func TestConservativeRefusesRiskyMerge(t *testing.T) {
 	}()
 	if nCons >= nAgg {
 		t.Fatalf("conservative (%d) should merge fewer than aggressive (%d) here", nCons, nAgg)
+	}
+}
+
+// TestPairQueryConcurrentDeterministic: whole-program allocation runs
+// the coalescer for many units at once, and each RunWithLiveness call
+// must own its scratch — the pair index and the conservative test's
+// stamp arrays. Concurrent AllocateAllContext calls with conservative
+// coalescing, plain and as the first phase of IRC, must give each
+// unit exactly the code and colors a lone sequential Allocate gives.
+// Run it under -race.
+func TestPairQueryConcurrentDeterministic(t *testing.T) {
+	prog, err := regalloc.Compile(workloads.Cedeta().Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(res *regalloc.Result) string {
+		var buf bytes.Buffer
+		ir.Fprint(&buf, res.Func)
+		fmt.Fprintln(&buf, res.Colors)
+		return buf.String()
+	}
+	for _, h := range []regalloc.Heuristic{regalloc.Briggs, regalloc.IRC} {
+		opt := regalloc.DefaultOptions()
+		opt.Heuristic = h
+		opt.ConservativeCoalesce = true
+		want := map[string]string{}
+		for _, name := range prog.Functions() {
+			res, err := prog.Allocate(name, opt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", h, name, err)
+			}
+			want[name] = digest(res)
+		}
+		opt.Workers = 4
+		const calls = 3
+		got := make([]map[string]*regalloc.Result, calls)
+		errs := make([]error, calls)
+		var wg sync.WaitGroup
+		for i := 0; i < calls; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = prog.AllocateAllContext(context.Background(), opt)
+			}(i)
+		}
+		wg.Wait()
+		for i := 0; i < calls; i++ {
+			if errs[i] != nil {
+				t.Fatalf("%s call %d: %v", h, i, errs[i])
+			}
+			for name, w := range want {
+				if d := digest(got[i][name]); d != w {
+					t.Errorf("%s call %d: %s differs from its sequential allocation", h, i, name)
+				}
+			}
+		}
 	}
 }

@@ -10,46 +10,84 @@ import (
 )
 
 // Liveness holds per-block live-in/live-out sets over virtual
-// registers.
+// registers: over all of them (ComputeLiveness), or over a chosen few
+// (ComputeLivenessOf), in which case Bit gives a register's position
+// in the sets.
 type Liveness struct {
 	In  []*bitset.Set // indexed by block ID
 	Out []*bitset.Set
+	// bits maps a register to its bit, -1 for a register outside a
+	// restricted solve; nil means register r is bit r.
+	bits []int32
 }
 
-// ComputeLiveness runs backward iterative live-variable analysis.
+// Bit returns the position of r in lv's sets, or -1 when lv is a
+// restricted solve that leaves r out.
+func (lv *Liveness) Bit(r ir.Reg) int {
+	if lv.bits == nil {
+		return int(r)
+	}
+	return int(lv.bits[r])
+}
+
+// ComputeLiveness runs backward iterative live-variable analysis over
+// every register of f.
 func ComputeLiveness(f *ir.Func) *Liveness {
+	return solve(f, nil, f.NumRegs())
+}
+
+// ComputeLivenessOf runs the same analysis over regs alone (distinct
+// registers; bit i of each set stands for regs[i]). A register's
+// liveness depends only on its own uses and defs, so every bit equals
+// the one ComputeLiveness gives the same register; the solve just
+// costs far less when regs is a small part of f's registers.
+func ComputeLivenessOf(f *ir.Func, regs []ir.Reg) *Liveness {
+	bits := make([]int32, f.NumRegs())
+	for i := range bits {
+		bits[i] = -1
+	}
+	for i, r := range regs {
+		bits[r] = int32(i)
+	}
+	return solve(f, bits, len(regs))
+}
+
+// solve is the one fixpoint behind both entry points: bits maps
+// registers onto the nb-bit sets as Liveness.bits does.
+func solve(f *ir.Func, bits []int32, nb int) *Liveness {
 	n := len(f.Blocks)
-	nr := f.NumRegs()
 	use := make([]*bitset.Set, n)
 	def := make([]*bitset.Set, n)
-	lv := &Liveness{In: make([]*bitset.Set, n), Out: make([]*bitset.Set, n)}
+	lv := &Liveness{In: make([]*bitset.Set, n), Out: make([]*bitset.Set, n), bits: bits}
 
 	var ubuf []ir.Reg
 	for _, b := range f.Blocks {
-		u := bitset.New(nr)
-		d := bitset.New(nr)
+		u := bitset.New(nb)
+		d := bitset.New(nb)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			ubuf = in.AppendUses(ubuf[:0])
 			for _, r := range ubuf {
-				if !d.Has(int(r)) {
-					u.Add(int(r))
+				if x := lv.Bit(r); x >= 0 && !d.Has(x) {
+					u.Add(x)
 				}
 			}
 			if dst := in.Def(); dst != ir.NoReg {
-				d.Add(int(dst))
+				if x := lv.Bit(dst); x >= 0 {
+					d.Add(x)
+				}
 			}
 		}
 		use[b.ID] = u
 		def[b.ID] = d
-		lv.In[b.ID] = bitset.New(nr)
-		lv.Out[b.ID] = bitset.New(nr)
+		lv.In[b.ID] = bitset.New(nb)
+		lv.Out[b.ID] = bitset.New(nb)
 	}
 
 	// Iterate to fixpoint; processing blocks in reverse order makes
 	// the backward problem converge in very few passes for reducible
 	// flow graphs.
-	tmp := bitset.New(nr)
+	tmp := bitset.New(nb)
 	for changed := true; changed; {
 		changed = false
 		for i := len(f.Blocks) - 1; i >= 0; i-- {
@@ -75,9 +113,9 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 
 // LiveAcross walks block b backward from its last instruction,
 // calling visit with the live set *after* each instruction (i.e. the
-// set of registers whose current values are needed later). The
-// callback must not retain the set. This is the traversal the
-// interference-graph builder uses.
+// set of registers whose current values are needed later, by Bit
+// position). The callback must not retain the set. This is the
+// traversal the interference-graph builder uses.
 func (lv *Liveness) LiveAcross(f *ir.Func, b *ir.Block, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
 	lv.LiveAcrossRange(f, b, 0, len(b.Instrs), nil, visit)
 }
@@ -100,13 +138,7 @@ func (lv *Liveness) LiveAcrossRange(f *ir.Func, b *ir.Block, lo, hi int, liveAtH
 	for i := hi - 1; i >= lo; i-- {
 		in := &b.Instrs[i]
 		visit(i, in, live)
-		if dst := in.Def(); dst != ir.NoReg {
-			live.Remove(int(dst))
-		}
-		ubuf = in.AppendUses(ubuf[:0])
-		for _, r := range ubuf {
-			live.Add(int(r))
-		}
+		lv.transfer(live, in, &ubuf)
 	}
 }
 
@@ -129,14 +161,23 @@ func (lv *Liveness) LiveAtCuts(f *ir.Func, b *ir.Block, cuts []int) []*bitset.Se
 				break
 			}
 		}
-		in := &b.Instrs[i]
-		if dst := in.Def(); dst != ir.NoReg {
-			live.Remove(int(dst))
-		}
-		ubuf = in.AppendUses(ubuf[:0])
-		for _, r := range ubuf {
-			live.Add(int(r))
-		}
+		lv.transfer(live, &b.Instrs[i], &ubuf)
 	}
 	return out
+}
+
+// transfer steps live backward across in: its def dies, its uses
+// become live. ubuf is scratch for the use list.
+func (lv *Liveness) transfer(live *bitset.Set, in *ir.Instr, ubuf *[]ir.Reg) {
+	if dst := in.Def(); dst != ir.NoReg {
+		if x := lv.Bit(dst); x >= 0 {
+			live.Remove(x)
+		}
+	}
+	*ubuf = in.AppendUses((*ubuf)[:0])
+	for _, r := range *ubuf {
+		if x := lv.Bit(r); x >= 0 {
+			live.Add(x)
+		}
+	}
 }
