@@ -140,8 +140,11 @@ type AllocRequest struct {
 	Conservative *bool  `json:"conservative,omitempty"`
 	Remat        *bool  `json:"remat,omitempty"`
 	Split        *bool  `json:"split,omitempty"`
-	Workers      *int   `json:"workers,omitempty"`
-	MaxPasses    *int   `json:"maxpasses,omitempty"`
+	// Workers bounds the unit pool of a whole-program source
+	// allocation; on the graph path with heuristic=pcolor it is the
+	// speculative engine's worker count.
+	Workers   *int `json:"workers,omitempty"`
+	MaxPasses *int `json:"maxpasses,omitempty"`
 
 	// Seed drives the pcolor engine on the graph path
 	// (heuristic=pcolor); ignored otherwise.
@@ -149,11 +152,10 @@ type AllocRequest struct {
 
 	// Portfolio races the strategy portfolio instead of a single
 	// configuration: "all", a comma-separated candidate subset, or a
-	// truthy/falsy flag. PMode, PBudget, and PSeeds tune the race.
+	// truthy/falsy flag. PMode and PBudget tune the race.
 	Portfolio string `json:"portfolio,omitempty"`
 	PMode     string `json:"pmode,omitempty"`
 	PBudget   string `json:"pbudget,omitempty"`
-	PSeeds    string `json:"pseeds,omitempty"`
 
 	// NoCache bypasses the result cache for this request (the entry
 	// is neither read nor written).
@@ -202,7 +204,6 @@ func requestFromParams(q url.Values) (*AllocRequest, *apiError) {
 		Portfolio: q.Get("portfolio"),
 		PMode:     q.Get("pmode"),
 		PBudget:   q.Get("pbudget"),
-		PSeeds:    q.Get("pseeds"),
 	}
 	for _, p := range []struct {
 		name string
@@ -266,9 +267,7 @@ func requestFromParams(q url.Values) (*AllocRequest, *apiError) {
 func (req *AllocRequest) options() (regalloc.Options, *apiError) {
 	opt := regalloc.DefaultOptions()
 	var err error
-	// The graph path handles "pcolor" itself; the option parser only
-	// sees the library's heuristics.
-	if req.Heuristic != "" && req.Heuristic != "pcolor" {
+	if req.Heuristic != "" {
 		opt.Heuristic, err = color.ParseHeuristic(req.Heuristic)
 		if err != nil {
 			return opt, failErr(http.StatusBadRequest, codeBadHeuristic, "heuristic", err)

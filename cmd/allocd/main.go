@@ -18,11 +18,11 @@
 //	                     conservative, remat, split, workers,
 //	                     maxpasses; plus unit=NAME to pick one
 //	                     routine, colors to include the assignment,
-//	                     and for heuristic=pcolor the seed and workers
-//	                     of the parallel engine. portfolio (a flag or
-//	                     a comma-separated candidate list) races the
-//	                     strategy portfolio per routine; pmode,
-//	                     pbudget, and pseeds tune the race.
+//	                     and for heuristic=pcolor on a graph the seed
+//	                     and workers of the parallel engine. portfolio
+//	                     (a flag or a comma-separated candidate list)
+//	                     races the strategy portfolio per routine;
+//	                     pmode and pbudget tune the race.
 //	                     Identical requests are served from a
 //	                     content-addressed result cache (singleflight:
 //	                     concurrent identical requests run one

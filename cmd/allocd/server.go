@@ -308,7 +308,7 @@ func (s *server) allocCached(ctx context.Context, req *AllocRequest, kind string
 	}
 	rt, _ := reqtrace.FromContext(ctx)
 	rt.Annotate("unit", requestUnit(req, kind))
-	rt.Annotate("heuristic", requestHeuristic(req, opt))
+	rt.Annotate("heuristic", opt.Heuristic.String())
 
 	var key cachekey.Key
 	var fill func() ([]byte, error)
@@ -365,17 +365,6 @@ func requestUnit(req *AllocRequest, kind string) string {
 	return "(program)"
 }
 
-// requestHeuristic names the engine for annotations and the access
-// log: the explicit request string when given (it distinguishes
-// pcolor, which Options folds into flags), the parsed option's
-// heuristic otherwise.
-func requestHeuristic(req *AllocRequest, opt regalloc.Options) string {
-	if req.Heuristic != "" {
-		return req.Heuristic
-	}
-	return opt.Heuristic.String()
-}
-
 // asAPIError normalizes a fill error: typed failures pass through,
 // context failures (a waiter abandoned by its deadline, a cancelled
 // run) get the drain/backpressure classification, anything else is
@@ -415,31 +404,29 @@ func srcKey(prog *regalloc.Program, opt regalloc.Options, req *AllocRequest) cac
 
 // graphKey is the cache identity of one .ig request: the canonical
 // graph digest (edge order and formatting do not matter), the options
-// fingerprint — with the pcolor engine's (seed, workers) folded in
-// when that is the requested heuristic — and the response-shaping
-// colors flag. The metrics unit label is deliberately excluded: it
-// names the run for observability and does not change a byte of the
-// response.
+// fingerprint — with the speculative engine's (seed, workers) folded
+// in under heuristic=pcolor, where the graph path runs it — and the
+// response-shaping colors flag. The metrics unit label is
+// deliberately excluded: it names the run for observability and does
+// not change a byte of the response.
 func graphKey(g *ig.Graph, costs []float64, opt regalloc.Options, req *AllocRequest) cachekey.Key {
-	keyOpt := opt
-	if req.Heuristic == "pcolor" {
-		keyOpt.UsePColor = true
-		keyOpt.PColorSeed = pcolorSeed(req)
-		keyOpt.PColorWorkers = pcolorWorkers(req)
-	}
 	gk := cachekey.Graph(g, costs)
-	ok := cachekey.Options(keyOpt)
+	ok := cachekey.Options(opt)
 	h := cachekey.New("allocd/v1/ig")
 	h.Bytes(gk[:])
 	h.Bytes(ok[:])
 	h.Bool(req.Colors)
+	if opt.Heuristic == color.PColor {
+		h.Uint(pcolorSeed(req))
+		h.Int(int64(pcolorWorkers(req)))
+	}
 	return h.Key()
 }
 
 // pcolorSeed and pcolorWorkers resolve the speculative engine's
-// parameters. Workers is resolved to its effective count up front so
-// the cache key and the run agree (pcolor itself maps <= 0 to
-// GOMAXPROCS).
+// parameters on the graph path. Workers is resolved to its effective
+// count up front so the cache key and the run agree (pcolor itself
+// maps <= 0 to GOMAXPROCS).
 func pcolorSeed(req *AllocRequest) uint64 {
 	if req.Seed != nil {
 		return *req.Seed
@@ -602,8 +589,8 @@ func (s *server) sourceBody(ctx context.Context, prog *regalloc.Program, opt reg
 
 // allocPortfolio races the strategy portfolio for each requested
 // routine and replies with the winner plus the full race report. spec
-// is "all" or a comma-separated candidate-name subset; pmode,
-// pbudget, and pseeds tune the race. The request's own admission slot
+// is "all" or a comma-separated candidate-name subset; pmode and
+// pbudget tune the race. The request's own admission slot
 // is handed back up front and each racing candidate acquires its own
 // instead, so a race counts against -max-inflight exactly as many
 // slots as it has strategies in flight — and cannot deadlock at
@@ -627,19 +614,7 @@ func (s *server) allocPortfolio(w http.ResponseWriter, ctx context.Context, req 
 		return
 	}
 
-	seeds := portfolio.DefaultSeeds
-	if req.PSeeds != "" {
-		seeds = nil
-		for _, f := range strings.Split(req.PSeeds, ",") {
-			seed, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				writeError(w, failErr(http.StatusBadRequest, codeBadRequest, "pseeds", err))
-				return
-			}
-			seeds = append(seeds, seed)
-		}
-	}
-	cands := regalloc.DefaultPortfolio(opt, seeds...)
+	cands := regalloc.DefaultPortfolio(opt)
 	if spec != "all" {
 		byName := make(map[string]regalloc.PortfolioCandidate, len(cands))
 		names := make([]string, 0, len(cands))
@@ -804,7 +779,7 @@ func (s *server) graphBody(ctx context.Context, g *ig.Graph, costs []float64, op
 			errors.New("a machine model needs program structure (convention bindings); send mini-FORTRAN source, not a graph"))
 	}
 
-	if req.Heuristic == "pcolor" {
+	if opt.Heuristic == color.PColor {
 		t0 := time.Now()
 		colors, st := pcolor.Color(g, pcolor.Options{Workers: pcolorWorkers(req), Seed: pcolorSeed(req)})
 		dur := time.Since(t0)

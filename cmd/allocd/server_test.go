@@ -338,11 +338,10 @@ func TestAllocPortfolio(t *testing.T) {
 	}
 	u := resp.Units[0]
 	p := u.Portfolio
-	// Default set: 7 heuristic variants (chaitin, briggs, briggs/cost,
-	// briggs/degree, mb, ssa, irc) + 3 pcolor seeds + 1 Jones–Plassmann
-	// entrant.
-	if len(p.Candidates) != 11 {
-		t.Fatalf("candidates = %d, want 11: %+v", len(p.Candidates), p)
+	// Default set: chaitin, briggs, briggs/cost, briggs/degree, mb,
+	// ssa, irc and pcolor.
+	if len(p.Candidates) != 8 {
+		t.Fatalf("candidates = %d, want 8: %+v", len(p.Candidates), p)
 	}
 	if p.Winner == "" || p.Mode != "race-to-best" {
 		t.Fatalf("portfolio = %+v", p)
@@ -369,8 +368,8 @@ func TestAllocPortfolio(t *testing.T) {
 		t.Fatal("?colors=1 returned no assignment")
 	}
 
-	// Named subset with a custom seed list and mode.
-	code, data = postAlloc(t, ts, "/alloc?portfolio=briggs,chaitin,pcolor/s9&pseeds=9&pmode=first-good", testSource)
+	// Named subset with a custom mode.
+	code, data = postAlloc(t, ts, "/alloc?portfolio=briggs,chaitin,pcolor&pmode=first-good", testSource)
 	if code != http.StatusOK {
 		t.Fatalf("subset: status %d: %s", code, data)
 	}
@@ -413,7 +412,6 @@ func TestAllocPortfolioErrors(t *testing.T) {
 		"/alloc?portfolio=bogus-strategy",
 		"/alloc?portfolio=1&pmode=bogus",
 		"/alloc?portfolio=1&pbudget=bogus",
-		"/alloc?portfolio=1&pseeds=notanumber",
 		"/alloc?portfolio=1&unit=MISSING",
 	} {
 		code, data := postAlloc(t, ts, path, testSource)

@@ -17,6 +17,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"regalloc"
 )
 
 // postJSON sends a JSON-form /v1 request and returns status, body,
@@ -536,6 +538,49 @@ func TestV1SSAHeuristic(t *testing.T) {
 	}
 	if e := errorEnvelope(t, data); e.Code != "bad_heuristic" {
 		t.Fatalf("graph + ssa: code %q, want bad_heuristic (%s)", e.Code, data)
+	}
+}
+
+// TestV1PColorSourceHeuristic: heuristic=pcolor on source input runs
+// the library's PColor heuristic, under its own cache key. Requested
+// right after the same briggs request, it must miss the cache and
+// return exactly what Allocate gives under Heuristic: PColor.
+func TestV1PColorSourceHeuristic(t *testing.T) {
+	_, ts := newTestServer(t)
+	kint, kfloat := 8, 4
+	for _, tc := range []struct {
+		heuristic string
+		h         regalloc.Heuristic
+	}{{"briggs", regalloc.Briggs}, {"pcolor", regalloc.PColor}} {
+		code, data, cache := postJSON(t, ts, "/v1/alloc", &AllocRequest{
+			Source: testSource, Heuristic: tc.heuristic, KInt: &kint, KFloat: &kfloat, Colors: true,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.heuristic, code, data)
+		}
+		if cache != "miss" {
+			t.Fatalf("%s: X-Cache %q, want miss", tc.heuristic, cache)
+		}
+		var resp allocResponse
+		if err := json.Unmarshal(data, &resp); err != nil {
+			t.Fatalf("bad JSON: %v\n%s", err, data)
+		}
+		prog, err := regalloc.Compile(testSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := regalloc.DefaultOptions()
+		opt.Heuristic = tc.h
+		opt.KInt, opt.KFloat = kint, kfloat
+		want, err := prog.Allocate("SAXPYISH", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := resp.Units[0]
+		if u.Spilled != want.TotalSpilled() || fmt.Sprint(u.Colors) != fmt.Sprint(want.Colors) {
+			t.Fatalf("%s: got %d spilled, colors %v; Allocate gives %d spilled, colors %v",
+				tc.heuristic, u.Spilled, u.Colors, want.TotalSpilled(), want.Colors)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // the paper's workload programs, generated stress graphs, and fuzzed
 // mini-FORTRAN subroutines — and reports latency percentiles, error
 // rate, and cache hit rate as the `loadtest` section of a bench-json
-// document (schema regalloc-bench/10).
+// document (schema regalloc-bench/11).
 //
 // Every request carries a minted W3C traceparent header, so each one
 // is a named trace in the target's telemetry. The report keeps the

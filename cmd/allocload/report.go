@@ -1,5 +1,5 @@
 // report.go is the bench-json document allocload emits: schema
-// regalloc-bench/10, which carries the loadtest section added in /6,
+// regalloc-bench/11, which carries the loadtest section added in /6,
 // the /7 error_latency split (transport failures quantified apart
 // from service latency), and the /9 trace linkage — the trace IDs of
 // the slowest and errored requests plus their flight-recorder span
@@ -111,7 +111,7 @@ type report struct {
 
 // benchSchema and benchSchemaHistory are the shared bench-json
 // lineage; cmd/bench carries the same strings.
-const benchSchema = "regalloc-bench/10"
+const benchSchema = "regalloc-bench/11"
 
 func benchSchemaHistory() []string {
 	return []string{
@@ -123,6 +123,7 @@ func benchSchemaHistory() []string {
 		"regalloc-bench/8: adds ssa (SSA-form chordal allocator over every figure-5 routine at (16,8) and (8,4), with Chaitin/Briggs costs on the same units); all /7 fields unchanged",
 		"regalloc-bench/9: adds loadtest.slow_trace_ids/error_trace_ids/traces (trace IDs of the slowest and errored requests, with their flight-recorder records fetched from allocd's /debug/requests); all /8 fields unchanged",
 		"regalloc-bench/10: adds irc (iterated register coalescing vs the Briggs conservative pre-pass: surviving copies per figure-5 routine) and irc_eliminated_pct; all /9 fields unchanged",
+		"regalloc-bench/11: drops build_improvement_pct and the workers=4 runs (a unit allocates on one goroutine); runs has one entry per figure-7 routine",
 	}
 }
 

@@ -48,6 +48,10 @@
 //	                  copies per figure-5 routine, with both spill
 //	                  costs) and irc_eliminated_pct (the move-heavy
 //	                  aggregate); all /9 fields unchanged
+//	regalloc-bench/11 drops build_improvement_pct and the workers=4
+//	                  runs: a single unit always allocates on one
+//	                  goroutine, so runs holds one best-of-reps entry
+//	                  per figure-7 routine
 package main
 
 import (
@@ -79,11 +83,10 @@ type benchPass struct {
 	Spilled    int   `json:"spilled"`
 }
 
-// benchRun is the per-pass timing of one routine under one worker
-// count (best-of-reps to damp scheduler noise).
+// benchRun is the per-pass timing of one routine (best-of-reps to
+// damp scheduler noise).
 type benchRun struct {
 	Routine     string      `json:"routine"`
-	Workers     int         `json:"workers"`
 	Passes      []benchPass `json:"passes"`
 	BuildNS     int64       `json:"build_ns_total"`
 	TotalNS     int64       `json:"total_ns"`
@@ -221,15 +224,14 @@ func quantilesOf(h obs.LatencyHistogram) benchQuantiles {
 }
 
 type benchReport struct {
-	Schema        string             `json:"schema"`
-	SchemaHistory []string           `json:"schema_history"`
-	GoMaxProcs    int                `json:"gomaxprocs"`
-	NumCPU        int                `json:"num_cpu"`
-	Reps          int                `json:"reps"`
-	Runs          []benchRun         `json:"runs"`
-	Graphs        []benchGraph       `json:"graphs"`
-	PColor        []benchPColor      `json:"pcolor"`
-	BuildPct      map[string]float64 `json:"build_improvement_pct"`
+	Schema        string        `json:"schema"`
+	SchemaHistory []string      `json:"schema_history"`
+	GoMaxProcs    int           `json:"gomaxprocs"`
+	NumCPU        int           `json:"num_cpu"`
+	Reps          int           `json:"reps"`
+	Runs          []benchRun    `json:"runs"`
+	Graphs        []benchGraph  `json:"graphs"`
+	PColor        []benchPColor `json:"pcolor"`
 	// PhaseLatency aggregates every rep of every figure-7 allocation
 	// (not just the best-of-reps kept in Runs) per Figure 4 phase;
 	// RunLatency does the same for whole-allocation wall time. New in
@@ -294,7 +296,7 @@ func runBenchJSON(path string, reps int) error {
 		return err
 	}
 	report := &benchReport{
-		Schema: "regalloc-bench/10",
+		Schema: "regalloc-bench/11",
 		SchemaHistory: []string{
 			"regalloc-bench/3: runs, graphs, pcolor, build_improvement_pct",
 			"regalloc-bench/4: adds phase_latency + run_latency (p50/p95/p99 over every rep); all /3 fields unchanged",
@@ -304,16 +306,13 @@ func runBenchJSON(path string, reps int) error {
 			"regalloc-bench/8: adds ssa (SSA-form chordal allocator over every figure-5 routine at (16,8) and (8,4), with Chaitin/Briggs costs on the same units); all /7 fields unchanged",
 			"regalloc-bench/9: adds loadtest.slow_trace_ids/error_trace_ids/traces (trace IDs of the slowest and errored requests, with their flight-recorder records fetched from allocd's /debug/requests); all /8 fields unchanged",
 			"regalloc-bench/10: adds irc (iterated register coalescing vs the Briggs conservative pre-pass: surviving copies per figure-5 routine) and irc_eliminated_pct; all /9 fields unchanged",
+			"regalloc-bench/11: drops build_improvement_pct and the workers=4 runs (a unit allocates on one goroutine); runs has one entry per figure-7 routine",
 		},
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		NumCPU:       runtime.NumCPU(),
 		Reps:         reps,
-		BuildPct:     map[string]float64{},
 		PhaseLatency: map[string]benchQuantiles{},
-		Note: "times are best-of-reps wall clock; workers are capped at " +
-			"GOMAXPROCS, so on a single-CPU host the workers=4 run takes the " +
-			"same sequential path and the improvement reflects machine noise " +
-			"only — compare build_improvement_pct against gomaxprocs; " +
+		Note: "times are best-of-reps wall clock; " +
 			"phase_latency/run_latency aggregate every rep, not the best",
 	}
 
@@ -322,51 +321,37 @@ func runBenchJSON(path string, reps int) error {
 	// the minimum that Runs keeps.
 	reg := regalloc.NewRegistry()
 
-	buildTotals := map[string]map[int]int64{} // routine -> workers -> build ns
 	for _, s := range wanted {
 		prog := compiled[s.program]
-		for _, workers := range []int{1, 4} {
-			best := benchRun{Routine: s.routine, Workers: workers}
-			for rep := 0; rep < reps; rep++ {
-				opt := regalloc.DefaultOptions()
-				opt.Heuristic = regalloc.Briggs
-				opt.Workers = workers
-				res, err := prog.Allocate(s.routine, opt)
-				if err != nil {
-					return fmt.Errorf("%s workers=%d: %w", s.routine, workers, err)
-				}
-				reg.Record(regalloc.Summarize(s.routine, res))
-				run := benchRun{Routine: s.routine, Workers: workers}
-				for _, p := range res.Passes {
-					run.Passes = append(run.Passes, benchPass{
-						BuildNS:    p.Build.Nanoseconds(),
-						SimplifyNS: p.Simplify.Nanoseconds(),
-						ColorNS:    p.Color.Nanoseconds(),
-						SpillNS:    p.Spill.Nanoseconds(),
-						Spilled:    p.Spilled,
-					})
-					run.BuildNS += p.Build.Nanoseconds()
-				}
-				run.TotalNS = res.TotalTime().Nanoseconds()
-				run.LiveRanges = res.LiveRanges()
-				run.Spilled = res.TotalSpilled()
-				run.PassesCount = len(res.Passes)
-				if best.TotalNS == 0 || run.BuildNS < best.BuildNS {
-					best = run
-				}
+		var best benchRun
+		for rep := 0; rep < reps; rep++ {
+			opt := regalloc.DefaultOptions()
+			opt.Heuristic = regalloc.Briggs
+			res, err := prog.Allocate(s.routine, opt)
+			if err != nil {
+				return fmt.Errorf("%s: %w", s.routine, err)
 			}
-			report.Runs = append(report.Runs, best)
-			if buildTotals[s.routine] == nil {
-				buildTotals[s.routine] = map[int]int64{}
+			reg.Record(regalloc.Summarize(s.routine, res))
+			run := benchRun{Routine: s.routine}
+			for _, p := range res.Passes {
+				run.Passes = append(run.Passes, benchPass{
+					BuildNS:    p.Build.Nanoseconds(),
+					SimplifyNS: p.Simplify.Nanoseconds(),
+					ColorNS:    p.Color.Nanoseconds(),
+					SpillNS:    p.Spill.Nanoseconds(),
+					Spilled:    p.Spilled,
+				})
+				run.BuildNS += p.Build.Nanoseconds()
 			}
-			buildTotals[s.routine][workers] = best.BuildNS
+			run.TotalNS = res.TotalTime().Nanoseconds()
+			run.LiveRanges = res.LiveRanges()
+			run.Spilled = res.TotalSpilled()
+			run.PassesCount = len(res.Passes)
+			if best.TotalNS == 0 || run.BuildNS < best.BuildNS {
+				best = run
+			}
 		}
-	}
-	for routine, byWorkers := range buildTotals {
-		w1, w4 := byWorkers[1], byWorkers[4]
-		if w1 > 0 {
-			report.BuildPct[routine] = 100 * float64(w1-w4) / float64(w1)
-		}
+		report.Runs = append(report.Runs, best)
 	}
 
 	// Standalone coloring on generated graphs: isolates the

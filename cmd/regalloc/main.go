@@ -67,7 +67,7 @@ func main() {
 	random := flag.String("random", "", "generate G(n,p): \"n,p,seed\"")
 	svdlike := flag.Bool("svdlike", false, "generate the paper's SVD pressure pattern")
 	src := flag.String("src", "", "run the full allocator over a mini-FORTRAN source file")
-	heuristic := flag.String("heuristic", "briggs", "-src mode: coloring heuristic (chaitin, briggs, mb, ssa, irc)")
+	heuristic := flag.String("heuristic", "briggs", "-src mode: coloring heuristic (chaitin, briggs, mb, ssa, irc, pcolor)")
 	machineName := flag.String("machine", "", "-src mode: constrain the allocation with a register-file model (rtpc), resized to -k")
 	usePortfolio := flag.Bool("portfolio", false, "-src mode: race the strategy portfolio per routine and keep the cheapest verified result")
 	portfolioMode := flag.String("portfolio-mode", "race-to-best", "-portfolio: stopping rule (race-to-best, first-good)")

@@ -24,6 +24,11 @@ import (
 // can be shown to change none of the answers.
 const coalesceGoldenPath = "testdata/coalesce_golden.txt"
 
+// pcolorGoldenPath pins the PColor heuristic (Jones–Plassmann, seed
+// 1) over the same matrix, so its move out of the cycle's inline
+// color step and into a heuristic of its own changes no allocation.
+const pcolorGoldenPath = "testdata/pcolor_golden.txt"
+
 // goldenUnit is one program of the golden matrix with the register
 // budgets it is allocated at.
 type goldenUnit struct {
@@ -69,12 +74,12 @@ func goldenLine(p *regalloc.Program, unit, routine string, k [2]int, h regalloc.
 		res.TotalSpilled(), len(res.Passes), moves, sha256.Sum256(buf.Bytes()))
 }
 
-// coalesceGoldenLines computes the whole matrix: every corpus routine
-// at 16+8 and 6+6, and fuzzgen seeds 1-40 at 6+6, each under all five
-// families with aggressive and with conservative coalescing. The
+// goldenLines computes the whole matrix: every corpus routine at 16+8
+// and 6+6, and fuzzgen seeds 1-40 at 6+6, each under every given
+// heuristic with aggressive and with conservative coalescing. The
 // allocations run on GOMAXPROCS workers; the lines come back in
 // matrix order.
-func coalesceGoldenLines(t *testing.T) []string {
+func goldenLines(t *testing.T, heuristics []regalloc.Heuristic) []string {
 	t.Helper()
 	type job struct {
 		p       *regalloc.Program
@@ -92,7 +97,7 @@ func coalesceGoldenLines(t *testing.T) []string {
 		}
 		for _, routine := range p.Functions() {
 			for _, k := range u.ks {
-				for _, h := range []regalloc.Heuristic{regalloc.Chaitin, regalloc.Briggs, regalloc.MatulaBeck, regalloc.SSA, regalloc.IRC} {
+				for _, h := range heuristics {
 					for _, cons := range []bool{false, true} {
 						jobs = append(jobs, job{p, u.name, routine, k, h, cons})
 					}
@@ -121,19 +126,19 @@ func coalesceGoldenLines(t *testing.T) []string {
 	return lines
 }
 
-// TestCoalesceGolden holds every allocation of the golden matrix to
-// the digest recorded in testdata/coalesce_golden.txt. Any differing
-// line fails: a pure speed-up of the coalescer must leave every one
-// of them unchanged.
-func TestCoalesceGolden(t *testing.T) {
-	data, err := os.ReadFile(coalesceGoldenPath)
+// checkGolden holds every allocation of the golden matrix under
+// heuristics to the digest recorded in path. Any differing line
+// fails.
+func checkGolden(t *testing.T, path string, heuristics ...regalloc.Heuristic) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	got := coalesceGoldenLines(t)
+	got := goldenLines(t, heuristics)
 	if len(got) != len(want) {
-		t.Errorf("golden matrix has %d lines, %s has %d", len(got), coalesceGoldenPath, len(want))
+		t.Errorf("golden matrix has %d lines, %s has %d", len(got), path, len(want))
 	}
 	bad := 0
 	for i := 0; i < len(got) && i < len(want); i++ {
@@ -146,4 +151,15 @@ func TestCoalesceGolden(t *testing.T) {
 	if bad > 10 {
 		t.Errorf("... %d differing lines in all", bad)
 	}
+}
+
+// TestCoalesceGolden: a pure speed-up of the coalescer must leave
+// every allocation of the five families unchanged.
+func TestCoalesceGolden(t *testing.T) {
+	checkGolden(t, coalesceGoldenPath, regalloc.Chaitin, regalloc.Briggs, regalloc.MatulaBeck, regalloc.SSA, regalloc.IRC)
+}
+
+// TestPColorGolden holds the PColor heuristic to its recorded digests.
+func TestPColorGolden(t *testing.T) {
+	checkGolden(t, pcolorGoldenPath, regalloc.PColor)
 }

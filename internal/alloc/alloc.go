@@ -18,7 +18,6 @@ import (
 	"regalloc/internal/ir"
 	"regalloc/internal/liverange"
 	"regalloc/internal/obs"
-	"regalloc/internal/pcolor"
 	"regalloc/internal/spill"
 )
 
@@ -139,17 +138,15 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	if opt.MaxPasses <= 0 {
 		opt.MaxPasses = 64
 	}
-	if opt.Heuristic == color.SSA && !opt.UsePColor {
+	switch opt.Heuristic {
+	case color.SSA:
 		// The SSA heuristic replaces the whole Figure 4 cycle, not
-		// just the simplify order. (UsePColor ignores Heuristic, so
-		// the speculative engine keeps precedence, as it does for the
-		// other heuristics.)
+		// just the simplify order.
 		return runSSA(ctx, f, opt)
-	}
-	if opt.Heuristic == color.IRC && !opt.UsePColor {
+	case color.IRC:
 		// Iterated register coalescing replaces the cycle's separate
 		// coalesce pre-pass and simplify phase with one worklist
-		// machine (same UsePColor precedence as above).
+		// machine.
 		return runIRC(ctx, f, opt)
 	}
 	work := f.Clone()
@@ -190,7 +187,7 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			}
 			tc := time.Now()
 			tr.BeginPhase(obs.PhaseCoalesce)
-			cs, cg := coalesce.RunWithLiveness(work, pc.lv, ck, opt.Workers, tr)
+			cs, cg := coalesce.RunWithLiveness(work, pc.lv, ck, tr)
 			tr.EndPhase(obs.PhaseCoalesce, time.Since(tc))
 			ps.CoalescedMoves = cs.Moves
 			pc.livenessRuns += cs.LivenessRuns
@@ -213,7 +210,7 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			g = mg.Graph
 			pre = mg.Pre
 		} else if g == nil {
-			g = ig.BuildWithLiveness(work, pc.lv, opt.Workers, tr)
+			g = ig.BuildWithLiveness(work, pc.lv, tr)
 		}
 		var rematOK []bool
 		var rematVals []spill.RematValue
@@ -235,146 +232,14 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			tr.Counter(obs.PhaseBuild, "coalesce.moves", int64(ps.CoalescedMoves))
 		}
 
+		var colors []int16
 		var toSpill []int32
-		if opt.UsePColor {
-			// Speculative engine: color with an unbounded first-fit
-			// palette (seeded, deterministic per (seed, workers)), then
-			// spill every node whose color landed at or beyond its
-			// class budget. The survivors keep their colors — a subset
-			// of a proper coloring is proper — so a pass whose palette
-			// fits the budget is a finished allocation.
+		if opt.Heuristic == color.PColor {
 			tr.BeginPhase(obs.PhaseColor)
 			t0 = time.Now()
-			workers := opt.PColorWorkers
-			if workers <= 0 {
-				workers = DefaultPColorWorkers
-			}
-			colors, _ := pcolor.Color(g, pcolor.Options{Workers: workers, Seed: opt.PColorSeed, Algo: opt.PColorAlgo, Tracer: tr})
-			var marked []int32
-			for v := int32(0); v < int32(len(colors)); v++ {
-				if int(colors[v]) >= kf(g.Class(v)) {
-					colors[v] = color.NoColor
-					marked = append(marked, v)
-				}
-			}
-			// Optimistic rescue, the same move Select makes for spill
-			// candidates: with every over-budget node cleared, first-fit
-			// each one again against the surviving assignment — spilling
-			// one over-budget node often frees a low color for another.
-			// Sequential, so the outcome is deterministic. Nodes that
-			// still don't fit are the pass's spill set. Spill
-			// temporaries go first: they cannot be spilled again, so
-			// they must claim a freed color before ordinary ranges
-			// (created late, their node numbers sort them last, which is
-			// exactly the wrong rescue order for them).
-			order := marked
-			for _, v := range marked {
-				if work.RegFlags(ir.Reg(v))&ir.FlagSpillTemp != 0 {
-					order = make([]int32, 0, len(marked))
-					for _, w := range marked {
-						if work.RegFlags(ir.Reg(w))&ir.FlagSpillTemp != 0 {
-							order = append(order, w)
-						}
-					}
-					for _, w := range marked {
-						if work.RegFlags(ir.Reg(w))&ir.FlagSpillTemp == 0 {
-							order = append(order, w)
-						}
-					}
-					break
-				}
-			}
-			var over []int32
-			var used []bool
-			for _, v := range order {
-				kn := kf(g.Class(v))
-				if cap(used) < kn {
-					used = make([]bool, kn)
-				}
-				used = used[:kn]
-				for j := range used {
-					used[j] = false
-				}
-				for _, nb := range g.Neighbors(v) {
-					if c := colors[nb]; c != color.NoColor && int(c) < kn {
-						used[c] = true
-					}
-				}
-				c := color.NoColor
-				inUse := 0
-				for j := 0; j < kn; j++ {
-					if used[j] {
-						inUse++
-					} else if c == color.NoColor {
-						c = int16(j)
-					}
-				}
-				if c == color.NoColor && work.RegFlags(ir.Reg(v))&ir.FlagSpillTemp != 0 {
-					// A spill temporary must not spill again. Apply
-					// Chaitin's rule in miniature: evict the cheapest
-					// ordinary neighbor (spilling it instead) until a
-					// color frees up. Evictions target real ranges, so
-					// this is also what makes the cost-blind engine
-					// reduce pressure and converge; a temporary with only
-					// temporary neighbors falls through to the same hard
-					// error the sequential path reports.
-					for c == color.NoColor {
-						w := int32(-1)
-						for _, nb := range g.Neighbors(v) {
-							cb := colors[nb]
-							if cb == color.NoColor || int(cb) >= kn {
-								continue
-							}
-							if work.RegFlags(ir.Reg(nb))&ir.FlagSpillTemp != 0 {
-								continue
-							}
-							if w < 0 || costs[nb] < costs[w] || (costs[nb] == costs[w] && nb < w) {
-								w = nb
-							}
-						}
-						if w < 0 {
-							break
-						}
-						tr.SpillDecision(w, int32(g.Degree(w)), costs[w], costs[w])
-						colors[w] = color.NoColor
-						over = append(over, w)
-						for j := range used {
-							used[j] = false
-						}
-						for _, nb := range g.Neighbors(v) {
-							if cb := colors[nb]; cb != color.NoColor && int(cb) < kn {
-								used[cb] = true
-							}
-						}
-						for j := 0; j < kn; j++ {
-							if !used[j] {
-								c = int16(j)
-								break
-							}
-						}
-					}
-				}
-				if c == color.NoColor {
-					tr.SpillDecision(v, int32(g.Degree(v)), costs[v], float64(g.Degree(v)))
-					over = append(over, v)
-					continue
-				}
-				colors[v] = c
-				tr.ColorReuse(v, int32(g.Degree(v)), inUse, c)
-			}
+			colors, toSpill = colorPColor(work, g, costs, kf, tr)
 			ps.Color = time.Since(t0)
 			tr.EndPhase(obs.PhaseColor, ps.Color)
-			if len(over) == 0 {
-				res.Passes = append(res.Passes, ps)
-				if err := color.Verify(g, colors, kf); err != nil {
-					return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
-				}
-				res.Func = work
-				res.Colors = colors
-				recordPassSpans(ctx, f.Name, opt, res.Passes, runStart)
-				return res, nil
-			}
-			toSpill = over
 		} else {
 			// Simplify.
 			tr.BeginPhase(obs.PhaseSimplify)
@@ -391,30 +256,28 @@ func RunContext(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 			} else {
 				tr.BeginPhase(obs.PhaseColor)
 				t0 = time.Now()
-				colors, uncolored := color.SelectPreInto(sc, g, pre, sr, kf, opt.Heuristic != color.Chaitin, tr)
+				colors, toSpill = color.SelectPreInto(sc, g, pre, sr, kf, opt.Heuristic != color.Chaitin, tr)
 				ps.Color = time.Since(t0)
 				tr.EndPhase(obs.PhaseColor, ps.Color)
-				if len(uncolored) == 0 {
-					res.Passes = append(res.Passes, ps)
-					if err := color.Verify(g, colors, kf); err != nil {
-						return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
-					}
-					res.Func = work
-					// colors aliases the pooled scratch; the result
-					// outlives the pass, so copy it out (precolored
-					// node colors stay behind — the program only ever
-					// names virtual registers).
-					res.Colors = append([]int16(nil), colors[:work.NumRegs()]...)
-					if opt.Machine != nil {
-						if err := VerifyAssignmentMachine(work, res.Colors, opt.Machine); err != nil {
-							return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
-						}
-					}
-					recordPassSpans(ctx, f.Name, opt, res.Passes, runStart)
-					return res, nil
-				}
-				toSpill = uncolored
 			}
+		}
+		if len(toSpill) == 0 {
+			res.Passes = append(res.Passes, ps)
+			if err := color.Verify(g, colors, kf); err != nil {
+				return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
+			}
+			res.Func = work
+			// colors may alias the pooled scratch; the result outlives
+			// the pass, so copy it out (precolored node colors stay
+			// behind — the program only ever names virtual registers).
+			res.Colors = append([]int16(nil), colors[:work.NumRegs()]...)
+			if opt.Machine != nil {
+				if err := VerifyAssignmentMachine(work, res.Colors, opt.Machine); err != nil {
+					return nil, fmt.Errorf("alloc: %s: %w", f.Name, err)
+				}
+			}
+			recordPassSpans(ctx, f.Name, opt, res.Passes, runStart)
+			return res, nil
 		}
 
 		// Spill.

@@ -71,7 +71,7 @@ func runIRC(ctx context.Context, f *ir.Func, opt Options) (*Result, error) {
 	if opt.Machine != nil {
 		mg = ig.BuildWithMachine(work, pc.lv, opt.Machine, tr)
 	} else {
-		mg = ig.WrapPlain(ig.BuildWithLiveness(work, pc.lv, opt.Workers, tr))
+		mg = ig.WrapPlain(ig.BuildWithLiveness(work, pc.lv, tr))
 	}
 	var costs []float64
 	if opt.Rematerialize {

@@ -127,9 +127,9 @@ func TestMachineOptionValidation(t *testing.T) {
 
 	pcolorOpt := alloc.DefaultOptions()
 	pcolorOpt.Machine = machine.RTPC()
-	pcolorOpt.UsePColor = true
+	pcolorOpt.Heuristic = color.PColor
 	if _, err := alloc.Run(f, pcolorOpt); !errors.Is(err, alloc.ErrBadMachine) {
-		t.Fatalf("UsePColor: got %v, want ErrBadMachine", err)
+		t.Fatalf("PColor: got %v, want ErrBadMachine", err)
 	}
 
 	ssaOpt := alloc.DefaultOptions()

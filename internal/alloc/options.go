@@ -8,7 +8,6 @@ import (
 	"regalloc/internal/ir"
 	"regalloc/internal/machine"
 	"regalloc/internal/obs"
-	"regalloc/internal/pcolor"
 	"regalloc/internal/spill"
 )
 
@@ -26,12 +25,10 @@ var (
 	ErrConflictingSpillModes = errors.New("Split and Rematerialize are mutually exclusive")
 	// ErrBadWorkers reports a negative Workers bound.
 	ErrBadWorkers = errors.New("Workers must be >= 0")
-	// ErrBadPColorAlgo reports an out-of-range PColorAlgo value.
-	ErrBadPColorAlgo = errors.New("unknown pcolor algorithm")
 	// ErrBadMachine reports a Machine model that fails its own
 	// Validate, disagrees with KInt/KFloat, or is combined with an
-	// allocation mode that cannot honor precolored constraints
-	// (UsePColor, or the SSA chordal allocator).
+	// heuristic that cannot honor precolored constraints (SSA or
+	// PColor).
 	ErrBadMachine = errors.New("invalid machine model configuration")
 )
 
@@ -78,42 +75,11 @@ type Options struct {
 	// the Sink must be safe for concurrent use; all sinks in package
 	// obs are.
 	Observer obs.Sink
-	// Workers bounds the worker pool used by whole-program
-	// allocation (regalloc.AssembleContext); 0 means GOMAXPROCS.
-	// Within a single unit, Workers > 1 additionally shards the
-	// interference-graph build across goroutines (see
-	// ig.BuildWithLiveness); the effective shard count is capped at
-	// GOMAXPROCS and small units stay sequential. The sharded build
-	// merges deterministically, so results are byte-identical to
-	// Workers <= 1 — only the build wall time changes.
+	// Workers bounds the unit pool of whole-program allocation
+	// (regalloc.AssembleContext and AllocateAllContext); 0 means
+	// GOMAXPROCS. A single unit always allocates on one goroutine, so
+	// Workers never changes a result.
 	Workers int
-	// UsePColor replaces the sequential simplify/select pair with the
-	// speculative parallel first-fit engine (internal/pcolor) inside
-	// the Figure 4 cycle: the pass's graph is colored with an
-	// unbounded palette, nodes whose first-fit color lands at or
-	// beyond the class budget become that pass's spill set (a subset
-	// of a proper coloring is proper, so the survivors are a valid
-	// partial k-coloring), and a pass whose palette fits the budget
-	// terminates the cycle. Heuristic and Metric are ignored in this
-	// mode: the engine is cost-blind, ordering by seeded
-	// degree-descending permutation. Off by default; the portfolio
-	// racer (internal/portfolio) uses it as one strategy family.
-	UsePColor bool
-	// PColorSeed drives the UsePColor permutation; different seeds
-	// explore different first-fit orders (and therefore different
-	// spill sets), which is what the portfolio races.
-	PColorSeed uint64
-	// PColorWorkers is the speculative engine's goroutine count under
-	// UsePColor. The (seed, workers) pair fully determines the
-	// coloring, so <= 0 means a fixed default of 4 — machine-
-	// independent, unlike GOMAXPROCS — keeping allocations
-	// reproducible across hosts.
-	PColorWorkers int
-	// PColorAlgo picks the engine's round structure under UsePColor:
-	// pcolor.Speculative (the zero value) or pcolor.JonesPlassmann,
-	// whose coloring depends on PColorSeed alone — worker count
-	// changes only the wall time, never the spill set.
-	PColorAlgo pcolor.Algo
 	// Machine, when non-nil, layers a register-file description over
 	// the pure k-coloring problem: physical registers enter the
 	// interference graph as precolored nodes, values live across calls
@@ -122,18 +88,11 @@ type Options struct {
 	// calling convention's argument/return bindings become coalescing
 	// candidates. Per-class counts must agree with KInt/KFloat
 	// (Validate rejects a mismatch with ErrBadMachine), and the model
-	// is incompatible with UsePColor and the SSA heuristic, neither of
+	// is incompatible with the SSA and PColor heuristics, neither of
 	// which honors precolored constraints. Nil — the default — is the
 	// paper's machine-agnostic formulation.
 	Machine *machine.Model
 }
-
-// DefaultPColorWorkers is the fixed worker count UsePColor resolves
-// PColorWorkers <= 0 to. It is deliberately not GOMAXPROCS: the pair
-// (PColorSeed, workers) determines the coloring, and a host-dependent
-// default would make the same Options spill differently on different
-// machines.
-const DefaultPColorWorkers = 4
 
 // DefaultOptions returns the paper's configuration: the optimistic
 // heuristic on a 16 GPR + 8 FPR machine.
@@ -154,16 +113,17 @@ func (o Options) K() color.K { return color.NumColors(o.KInt, o.KFloat) }
 
 // Validate checks the options for misuse and returns a typed error
 // (ErrBadK, ErrBadHeuristic, ErrBadMetric, ErrConflictingSpillModes,
-// ErrBadWorkers, or ErrBadPColorAlgo, all matchable with errors.Is)
-// describing the
-// first problem found. Run, and the root package's Allocate and
+// ErrBadWorkers, or ErrBadMachine, all matchable with errors.Is)
+// describing the first problem found. The one cross-family rule is
+// that a Machine model is rejected with the SSA and PColor
+// heuristics. Run, and the root package's Allocate and
 // AssembleContext, call it before doing any work, so misconfiguration
 // fails loudly instead of being silently patched up.
 func (o Options) Validate() error {
 	if o.KInt < 1 || o.KFloat < 1 {
 		return fmt.Errorf("alloc: kInt=%d, kFloat=%d: %w", o.KInt, o.KFloat, ErrBadK)
 	}
-	if o.Heuristic < color.Chaitin || o.Heuristic > color.IRC {
+	if o.Heuristic < color.Chaitin || o.Heuristic > color.PColor {
 		return fmt.Errorf("alloc: heuristic %d: %w", int(o.Heuristic), ErrBadHeuristic)
 	}
 	if o.Metric < color.CostOverDegree || o.Metric > color.DegreeOnly {
@@ -175,9 +135,6 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("alloc: workers=%d: %w", o.Workers, ErrBadWorkers)
 	}
-	if o.PColorAlgo < 0 || o.PColorAlgo >= pcolor.NumAlgos {
-		return fmt.Errorf("alloc: pcolor algo %d: %w", int(o.PColorAlgo), ErrBadPColorAlgo)
-	}
 	if o.Machine != nil {
 		if err := o.Machine.Validate(); err != nil {
 			return fmt.Errorf("alloc: %v: %w", err, ErrBadMachine)
@@ -187,11 +144,8 @@ func (o Options) Validate() error {
 				o.Machine.Name, o.Machine.NumRegs[ir.ClassInt], o.Machine.NumRegs[ir.ClassFloat],
 				o.KInt, o.KFloat, ErrBadMachine)
 		}
-		if o.UsePColor {
-			return fmt.Errorf("alloc: machine model with UsePColor: %w", ErrBadMachine)
-		}
-		if o.Heuristic == color.SSA {
-			return fmt.Errorf("alloc: machine model with the SSA heuristic: %w", ErrBadMachine)
+		if o.Heuristic == color.SSA || o.Heuristic == color.PColor {
+			return fmt.Errorf("alloc: machine model with the %s heuristic: %w", o.Heuristic, ErrBadMachine)
 		}
 	}
 	return nil

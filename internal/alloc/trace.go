@@ -9,17 +9,6 @@ import (
 	"regalloc/internal/reqtrace"
 )
 
-// heuristicLabel names the engine a run used, for span attributes and
-// the service access log: the speculative engine shadows Heuristic
-// (as it does in the allocator), everything else is the heuristic's
-// own name.
-func heuristicLabel(opt Options) string {
-	if opt.UsePColor {
-		return "pcolor"
-	}
-	return opt.Heuristic.String()
-}
-
 // recordPassSpans replays a finished allocation's PassStats as
 // request-trace spans: one "alloc:UNIT" span covering the run, with
 // one child span per non-zero phase per pass, laid out sequentially
@@ -40,7 +29,7 @@ func recordPassSpans(ctx context.Context, unit string, opt Options, passes []Pas
 		total += p.Build + p.Simplify + p.Color + p.Spill
 	}
 	unitSpan := rt.Record(parent, "alloc:"+unit, start, total,
-		reqtrace.Attr{Key: "heuristic", Value: heuristicLabel(opt)},
+		reqtrace.Attr{Key: "heuristic", Value: opt.Heuristic.String()},
 		reqtrace.Attr{Key: "passes", Value: strconv.Itoa(len(passes))})
 	t := start
 	for i, p := range passes {

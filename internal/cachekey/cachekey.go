@@ -11,13 +11,11 @@
 //   - Different configurations do not. The Options fingerprint
 //     covers every field that can change an allocation result —
 //     heuristic, register budgets, spill metric and cost parameters,
-//     coalescing and spill-code modes, pass bound, and the pcolor
-//     (seed, workers) pair when the speculative engine is on.
+//     coalescing and spill-code modes, pass bound, and machine model.
 //
 // Fields that provably cannot change the result are excluded:
-// Options.Workers only shards the graph build (documented and tested
-// byte-identical to sequential) and sizes the whole-program worker
-// pool, and Options.Observer only watches. Excluding them is what
+// Options.Workers only sizes the whole-program unit pool, and
+// Options.Observer only watches. Excluding them is what
 // makes a warm cache survive clients that tune concurrency knobs.
 //
 // Every digest is domain-separated (a fixed tag is hashed first) and
@@ -112,9 +110,8 @@ func (h *Hasher) Key() Key {
 
 // Options fingerprints every result-affecting configuration field.
 // Workers and Observer are deliberately excluded (see the package
-// comment); MaxPasses and PColorWorkers are resolved to their
-// documented defaults first so an explicit default and an unset zero
-// collide.
+// comment); MaxPasses is resolved to its documented default first so
+// an explicit default and an unset zero collide.
 func Options(opt alloc.Options) Key {
 	h := New("regalloc/options/1")
 	h.Int(int64(opt.Heuristic))
@@ -132,18 +129,6 @@ func Options(opt alloc.Options) Key {
 		maxPasses = 64 // alloc.Run's documented default
 	}
 	h.Int(int64(maxPasses))
-	h.Bool(opt.UsePColor)
-	if opt.UsePColor {
-		// Only under the speculative engine do the seed and worker
-		// count determine the coloring; hashing them when the engine
-		// is off would split keys that allocate identically.
-		h.Uint(opt.PColorSeed)
-		workers := opt.PColorWorkers
-		if workers <= 0 {
-			workers = alloc.DefaultPColorWorkers
-		}
-		h.Int(int64(workers))
-	}
 	h.Bool(opt.Machine != nil)
 	if m := opt.Machine; m != nil {
 		// The model changes both the graph (precolored nodes, clobber

@@ -74,8 +74,8 @@ func TestGraphSeparates(t *testing.T) {
 func TestOptionsFingerprint(t *testing.T) {
 	base := alloc.DefaultOptions()
 
-	// Result-neutral knobs collide: Workers shards the build
-	// byte-identically and Observer only watches.
+	// Result-neutral knobs collide: Workers only sizes the unit pool
+	// and Observer only watches.
 	tuned := base
 	tuned.Workers = 8
 	if Options(base) != Options(tuned) {
@@ -103,7 +103,7 @@ func TestOptionsFingerprint(t *testing.T) {
 		func(o *alloc.Options) { o.Split = true },
 		func(o *alloc.Options) { o.MaxPasses = 3 },
 		func(o *alloc.Options) { o.CostParams.DepthBase = 8 },
-		func(o *alloc.Options) { o.UsePColor = true },
+		func(o *alloc.Options) { o.Heuristic = 5 /* pcolor */ },
 		func(o *alloc.Options) { o.Heuristic = 4 /* irc */ },
 		func(o *alloc.Options) { o.Machine = machine.RTPC() },
 		func(o *alloc.Options) {
@@ -126,21 +126,6 @@ func TestOptionsFingerprint(t *testing.T) {
 			t.Fatalf("mutation %d collides with %d", i, prev)
 		}
 		seen[k] = i
-	}
-
-	// Under pcolor the seed matters; without it, it must not.
-	pc := base
-	pc.UsePColor = true
-	pc.PColorSeed = 1
-	pc2 := pc
-	pc2.PColorSeed = 2
-	if Options(pc) == Options(pc2) {
-		t.Fatal("pcolor seed ignored under UsePColor")
-	}
-	noPC := base
-	noPC.PColorSeed = 99
-	if Options(base) != Options(noPC) {
-		t.Fatal("pcolor seed reached the fingerprint with the engine off")
 	}
 }
 

@@ -52,7 +52,7 @@ type Stats struct {
 // reload temporary back into a long-lived range would undo the spill
 // and could keep the allocator from converging.
 func Run(f *ir.Func) (int, *ig.Graph) {
-	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), nil, 1, nil)
+	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), nil, nil)
 	return st.Moves, finalGraph(f, g)
 }
 
@@ -62,7 +62,7 @@ func Run(f *ir.Func) (int, *ig.Graph) {
 // anyway), build one for the rewritten function here.
 func finalGraph(f *ir.Func, g *ig.Graph) *ig.Graph {
 	if g == nil {
-		g = ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 1, nil)
+		g = ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), nil)
 	}
 	return g
 }
@@ -76,14 +76,14 @@ func finalGraph(f *ir.Func, g *ig.Graph) *ig.Graph {
 // colorable graph into a spilling one. Included as an ablation — the
 // paper's own allocator coalesces aggressively.
 func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
-	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), k, 1, nil)
+	st, g := RunWithLiveness(f, dataflow.ComputeLiveness(f), k, nil)
 	return st.Moves, finalGraph(f, g)
 }
 
 // RunWithLiveness is the allocator's cache-aware entry point: lv must
 // be a current full liveness for f, which the first round reuses.
 // conservativeK, when non-nil, switches to the Briggs conservative
-// test; workers > 1 shards the graph builds (see ig.BuildWithLiveness).
+// test.
 //
 // Each round lists its candidate copies and asks, for each, whether
 // its ends interfere (see interfering). Later aggressive rounds answer
@@ -98,7 +98,7 @@ func RunConservative(f *ir.Func, k func(ir.Class) int) (int, *ig.Graph) {
 // rewritten and the caller must renumber before building the graph it
 // will color on — returning one here would only be thrown away, so
 // none is built.
-func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, workers int, tr *obs.Tracer) (Stats, *ig.Graph) {
+func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Class) int, tr *obs.Tracer) (Stats, *ig.Graph) {
 	var st Stats
 	var bt briggsScratch // per call: Assemble runs calls concurrently
 	for {
@@ -107,7 +107,7 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 		regs := partners.regs()
 		var g *ig.Graph
 		if conservativeK != nil {
-			g = ig.BuildWithLiveness(f, lv, workers, tr)
+			g = ig.BuildWithLiveness(f, lv, tr)
 		} else if st.Rounds > 0 && len(cands) > 0 {
 			lv = dataflow.ComputeLivenessOf(f, regs)
 		}
@@ -165,7 +165,7 @@ func RunWithLiveness(f *ir.Func, lv *dataflow.Liveness, conservativeK func(ir.Cl
 			if g == nil {
 				// The first round, so lv is still the caller's full
 				// liveness for f.
-				g = ig.BuildWithLiveness(f, lv, workers, tr)
+				g = ig.BuildWithLiveness(f, lv, tr)
 			}
 			return st, g
 		}

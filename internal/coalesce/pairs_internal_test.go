@@ -97,7 +97,7 @@ func TestPairQueryMatchesGraph(t *testing.T) {
 	answers := map[bool]int{}
 	for _, f := range funcs {
 		full := dataflow.ComputeLiveness(f)
-		g := ig.BuildWithLiveness(f, full, 1, nil)
+		g := ig.BuildWithLiveness(f, full, nil)
 		_, cands := candidates(f)
 		partners := indexPartners(f.NumRegs(), cands)
 		regs := partners.regs()

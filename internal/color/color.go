@@ -50,9 +50,16 @@ const (
 	// interleaved with simplification (conservatively, so it never
 	// creates spills) instead of running as a pre-pass.
 	IRC
+	// PColor replaces simplify/select with the Jones–Plassmann
+	// first-fit colorer of internal/pcolor, run by package alloc's
+	// color step: the pass's graph is colored with an unbounded palette
+	// and nodes whose color lands at or beyond the class budget
+	// become the pass's spill set. It is cost-blind, so Metric is
+	// ignored.
+	PColor
 )
 
-var heuristicNames = [...]string{"chaitin", "briggs", "matula-beck", "ssa", "irc"}
+var heuristicNames = [...]string{"chaitin", "briggs", "matula-beck", "ssa", "irc", "pcolor"}
 
 func (h Heuristic) String() string {
 	if int(h) < len(heuristicNames) {
@@ -65,7 +72,7 @@ func (h Heuristic) String() string {
 // grouped by heuristic with aliases slash-separated. Error messages
 // and CLI/API docs render it, so the list of legal values has one
 // source of truth.
-const HeuristicSpellings = "chaitin/old, briggs/new/optimistic, matula-beck/mb/smallest-last, ssa/chordal, irc/iterated"
+const HeuristicSpellings = "chaitin/old, briggs/new/optimistic, matula-beck/mb/smallest-last, ssa/chordal, irc/iterated, pcolor"
 
 // ParseHeuristic resolves a heuristic by name; the accepted spellings
 // are HeuristicSpellings. An unknown name yields an error that
@@ -82,6 +89,8 @@ func ParseHeuristic(s string) (Heuristic, error) {
 		return SSA, nil
 	case "irc", "iterated":
 		return IRC, nil
+	case "pcolor":
+		return PColor, nil
 	}
 	return 0, fmt.Errorf("unknown heuristic %q (accepted: %s)", s, HeuristicSpellings)
 }

@@ -117,67 +117,22 @@ func solve(f *ir.Func, bits []int32, nb int) *Liveness {
 // position). The callback must not retain the set. This is the
 // traversal the interference-graph builder uses.
 func (lv *Liveness) LiveAcross(f *ir.Func, b *ir.Block, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
-	lv.LiveAcrossRange(f, b, 0, len(b.Instrs), nil, visit)
-}
-
-// LiveAcrossRange is LiveAcross restricted to instructions [lo, hi)
-// of b. liveAtHi must be the set live after instruction hi-1 (as
-// LiveAtCuts computes it); nil means hi is the end of the block and
-// the walk starts from the block's live-out. The set is copied, not
-// mutated. Splitting a block into ranges at cut points and walking
-// each range with its LiveAtCuts set visits exactly the states the
-// full LiveAcross walk would — this is what lets the parallel
-// interference-graph build cut inside the huge straight-line blocks
-// of generated code instead of sharding on block boundaries only.
-func (lv *Liveness) LiveAcrossRange(f *ir.Func, b *ir.Block, lo, hi int, liveAtHi *bitset.Set, visit func(i int, in *ir.Instr, liveAfter *bitset.Set)) {
-	if liveAtHi == nil {
-		liveAtHi = lv.Out[b.ID]
-	}
-	live := liveAtHi.Copy()
-	var ubuf []ir.Reg
-	for i := hi - 1; i >= lo; i-- {
-		in := &b.Instrs[i]
-		visit(i, in, live)
-		lv.transfer(live, in, &ubuf)
-	}
-}
-
-// LiveAtCuts returns, for each cut index (ascending, each in
-// (0, len(b.Instrs))), the set live after instruction cut-1 of b —
-// the state the backward LiveAcross walk holds when it is about to
-// visit instruction cut-1. One backward sweep serves all cuts; the
-// sweep only transfers the live set (no per-live-register work), so
-// it is far cheaper than the enumeration walk it seeds.
-func (lv *Liveness) LiveAtCuts(f *ir.Func, b *ir.Block, cuts []int) []*bitset.Set {
-	out := make([]*bitset.Set, len(cuts))
 	live := lv.Out[b.ID].Copy()
 	var ubuf []ir.Reg
-	next := len(cuts) - 1
-	for i := len(b.Instrs) - 1; i >= 0 && next >= 0; i-- {
-		if cuts[next] == i+1 {
-			out[next] = live.Copy()
-			next--
-			if next < 0 {
-				break
+	for i := len(b.Instrs) - 1; i >= 0; i-- {
+		in := &b.Instrs[i]
+		visit(i, in, live)
+		// Step backward across in: its def dies, its uses become live.
+		if dst := in.Def(); dst != ir.NoReg {
+			if x := lv.Bit(dst); x >= 0 {
+				live.Remove(x)
 			}
 		}
-		lv.transfer(live, &b.Instrs[i], &ubuf)
-	}
-	return out
-}
-
-// transfer steps live backward across in: its def dies, its uses
-// become live. ubuf is scratch for the use list.
-func (lv *Liveness) transfer(live *bitset.Set, in *ir.Instr, ubuf *[]ir.Reg) {
-	if dst := in.Def(); dst != ir.NoReg {
-		if x := lv.Bit(dst); x >= 0 {
-			live.Remove(x)
-		}
-	}
-	*ubuf = in.AppendUses((*ubuf)[:0])
-	for _, r := range *ubuf {
-		if x := lv.Bit(r); x >= 0 {
-			live.Add(x)
+		ubuf = in.AppendUses(ubuf[:0])
+		for _, r := range ubuf {
+			if x := lv.Bit(r); x >= 0 {
+				live.Add(x)
+			}
 		}
 	}
 }

@@ -84,9 +84,6 @@ func runIntegerKernels(e Engine) (uint64, error) {
 	return d.sum(), nil
 }
 
-// RunIntegerKernels exposes the driver for tests.
-func RunIntegerKernels(e Engine) (uint64, error) { return runIntegerKernels(e) }
-
 // IntegerStudy compiles the integer kernels at each register count
 // under both heuristics, verifying both produce identical results.
 func IntegerStudy() (*IntegerStudyResult, error) {

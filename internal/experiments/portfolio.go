@@ -42,8 +42,8 @@ type PortfolioStudyResult struct {
 }
 
 // PortfolioStudy races the default strategy portfolio (the paper's
-// two heuristics, the alternative spill metrics, smallest-last, and
-// the speculative pcolor engine under three seeds) over every routine
+// two heuristics, the alternative spill metrics, smallest-last, SSA,
+// IRC and PColor) over every routine
 // of the Figure 5 corpus and reports each race's outcome table. The
 // study is the engine's evidence for the Das-style hybrid argument:
 // the winner column varies by routine, and the portfolio's cost is

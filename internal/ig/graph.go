@@ -72,7 +72,7 @@ func New(class []ir.Class) *Graph {
 
 // NewSized is New with a capacity hint for the expected edge count,
 // pre-sizing the edge log and the membership set so bulk builders
-// (graphgen's scale tier, the sharded merge) do not pay growth
+// (graphgen's scale tier) do not pay growth
 // rehashes on the way to millions of edges. edgeHint <= 0 means no
 // hint.
 func NewSized(class []ir.Class, edgeHint int) *Graph {
@@ -255,7 +255,7 @@ func Build(f *ir.Func) *Graph {
 // holding a current liveness (the allocator's per-pass cache) should
 // use BuildWithLiveness.
 func BuildTraced(f *ir.Func, tr *obs.Tracer) *Graph {
-	return BuildWithLiveness(f, dataflow.ComputeLiveness(f), 1, tr)
+	return BuildWithLiveness(f, dataflow.ComputeLiveness(f), tr)
 }
 
 // String summarizes the graph.

@@ -65,10 +65,6 @@ func WrapPlain(g *Graph) *MachineGraph {
 //   - every virtual register live across a call interferes with every
 //     caller-saved register of its class, so call-crossing ranges can
 //     only take callee-saved colors.
-//
-// The enumeration is sequential: machine-constrained units are
-// routine-sized, and the clobber sweep reuses the same liveness walk
-// as the build, so sharding would buy nothing here.
 func BuildWithMachine(f *ir.Func, lv *dataflow.Liveness, m *machine.Model, tr *obs.Tracer) *MachineGraph {
 	n := f.NumRegs()
 	p := m.NumPrecolored()

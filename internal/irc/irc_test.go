@@ -30,7 +30,7 @@ func flatCost(n int) []float64 {
 // against the interference graph it was computed from.
 func runPlain(t *testing.T, f *ir.Func, kf func(ir.Class) int) *irc.Result {
 	t.Helper()
-	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
+	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), nil)
 	mg := ig.WrapPlain(g)
 	res := irc.Color(f, mg, flatCost(mg.NumVRegs), kf, color.CostOverDegree, nil)
 	checkColors(t, mg, res, kf)
@@ -168,7 +168,7 @@ func TestSpillUnderPressure(t *testing.T) {
 	f.RecomputePreds()
 
 	k2 := func(ir.Class) int { return 2 }
-	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
+	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), nil)
 	mg := ig.WrapPlain(g)
 	res := irc.Color(f, mg, flatCost(mg.NumVRegs), k2, color.CostOverDegree, nil)
 	if len(res.Spilled) == 0 {
@@ -284,7 +284,7 @@ func TestSpillTempCoalescePolicy(t *testing.T) {
 	}
 
 	f, _, _ = mk()
-	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
+	g := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), nil)
 	mg := ig.WrapPlain(g)
 	res = irc.ColorWith(f, mg, flatCost(mg.NumVRegs), kRTPC, color.CostOverDegree, nil, irc.Opts{CoalesceSpillTemps: true})
 	checkColors(t, mg, res, kRTPC)
@@ -300,8 +300,8 @@ func TestSpillTempCoalescePolicy(t *testing.T) {
 // identical colorings and statistics.
 func TestDeterministic(t *testing.T) {
 	f := chainFunc()
-	g1 := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
-	g2 := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), 0, nil)
+	g1 := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), nil)
+	g2 := ig.BuildWithLiveness(f, dataflow.ComputeLiveness(f), nil)
 	r1 := irc.Color(f, ig.WrapPlain(g1), flatCost(3), kRTPC, color.CostOverDegree, nil)
 	r2 := irc.Color(f, ig.WrapPlain(g2), flatCost(3), kRTPC, color.CostOverDegree, nil)
 	if len(r1.Colors) != len(r2.Colors) {

@@ -12,9 +12,10 @@
 // palette, so every node receives a color and the figure of merit is
 // how many colors were needed. That makes it the right backend for
 // the standalone-graph paths (cmd/regalloc's graph mode, cmd/bench's
-// stress graphs, the experiments package), not for the allocator's
-// Figure 4 cycle, where the sequential heuristics remain the
-// default.
+// stress graphs, allocd's .ig path, the experiments package). Inside
+// the allocator's Figure 4 cycle only the JonesPlassmann structure
+// runs, as the color step of the PColor heuristic (package alloc),
+// with a fixed seed on one goroutine.
 //
 // Determinism: for a fixed (Seed, Workers) pair the result is
 // byte-identical across runs. Each round partitions the pending

@@ -2,7 +2,7 @@
 // takes one compilation unit and a candidate set of allocator
 // strategies (each a full alloc.Options variant — pessimistic
 // Chaitin, optimistic Briggs, spill-metric and ordering variants, and
-// the speculative pcolor engine under several seeds), runs them
+// the other allocator families), runs them
 // concurrently on a bounded worker pool under a shared deadline, and
 // keeps the cheapest independently verified result.
 //
@@ -40,8 +40,8 @@
 // goroutine — and no buffered observer event — outlives the call.
 //
 // In RaceToBest mode every candidate the budget admits runs to
-// completion, so a fixed (candidates, budget-that-admits-all, seeds)
-// triple always yields the same winner. In FirstGood mode the first
+// completion, so a fixed candidate set under a budget that admits all
+// of them always yields the same winner. In FirstGood mode the first
 // verified zero-spill finisher cancels the stragglers; that trades
 // winner determinism (a lower-indexed candidate may be cancelled
 // before it can post its own zero-spill result) for latency, which is
@@ -61,7 +61,6 @@ import (
 	"regalloc/internal/color"
 	"regalloc/internal/ir"
 	"regalloc/internal/obs"
-	"regalloc/internal/pcolor"
 	"regalloc/internal/reqtrace"
 )
 
@@ -115,8 +114,8 @@ type Config struct {
 	// Mode is the stopping rule (default RaceToBest).
 	Mode Mode
 	// Workers bounds how many candidates run concurrently; <= 0 means
-	// GOMAXPROCS. It is independent of each candidate's own
-	// Opt.Workers / Opt.PColorWorkers.
+	// GOMAXPROCS. Each candidate allocates one unit on one goroutine,
+	// whatever its own Opt.Workers.
 	Workers int
 	// Budget, when > 0, is a wall-clock deadline for starting new
 	// candidates, layered onto the caller's context. See the package
@@ -465,50 +464,24 @@ func emitCounters(sink obs.Sink, unit string, r *Result) {
 // two paper heuristics under the default cost/degree metric, the two
 // alternative spill metrics under Briggs, the cost-blind smallest-
 // last ordering, the SSA-form chordal allocator, iterated register
-// coalescing, and the speculative pcolor engine once per seed
-// (workers pinned to the machine-independent default so the race is
-// reproducible across hosts). base supplies everything else (K,
-// coalescing, spill modes, Workers); base.Heuristic, base.Metric and
-// the pcolor fields are overridden per candidate.
-func Default(base alloc.Options, pcolorSeeds ...uint64) []Candidate {
+// coalescing, and the Jones–Plassmann pcolor engine. base supplies
+// everything else (K, coalescing, spill modes, Workers); base.Heuristic
+// and base.Metric are overridden per candidate.
+func Default(base alloc.Options) []Candidate {
 	base.Observer = nil
-	base.UsePColor = false
-	mk := func(name string, mut func(*alloc.Options)) Candidate {
+	mk := func(name string, h color.Heuristic, m color.Metric) Candidate {
 		opt := base
-		mut(&opt)
+		opt.Heuristic, opt.Metric = h, m
 		return Candidate{Name: name, Opt: opt}
 	}
-	cands := []Candidate{
-		mk("briggs", func(o *alloc.Options) { o.Heuristic = color.Briggs; o.Metric = color.CostOverDegree }),
-		mk("chaitin", func(o *alloc.Options) { o.Heuristic = color.Chaitin; o.Metric = color.CostOverDegree }),
-		mk("briggs/cost", func(o *alloc.Options) { o.Heuristic = color.Briggs; o.Metric = color.CostOnly }),
-		mk("briggs/degree", func(o *alloc.Options) { o.Heuristic = color.Briggs; o.Metric = color.DegreeOnly }),
-		mk("mb", func(o *alloc.Options) { o.Heuristic = color.MatulaBeck; o.Metric = color.CostOverDegree }),
-		mk("ssa", func(o *alloc.Options) { o.Heuristic = color.SSA; o.Metric = color.CostOverDegree }),
-		mk("irc", func(o *alloc.Options) { o.Heuristic = color.IRC; o.Metric = color.CostOverDegree }),
+	return []Candidate{
+		mk("briggs", color.Briggs, color.CostOverDegree),
+		mk("chaitin", color.Chaitin, color.CostOverDegree),
+		mk("briggs/cost", color.Briggs, color.CostOnly),
+		mk("briggs/degree", color.Briggs, color.DegreeOnly),
+		mk("mb", color.MatulaBeck, color.CostOverDegree),
+		mk("ssa", color.SSA, color.CostOverDegree),
+		mk("irc", color.IRC, color.CostOverDegree),
+		mk("pcolor", color.PColor, color.CostOverDegree),
 	}
-	for _, seed := range pcolorSeeds {
-		cands = append(cands, mk(fmt.Sprintf("pcolor/s%d", seed), func(o *alloc.Options) {
-			o.UsePColor = true
-			o.PColorSeed = seed
-			o.PColorWorkers = alloc.DefaultPColorWorkers
-		}))
-	}
-	// One Jones–Plassmann entrant on the first seed: its spill set
-	// depends on the seed alone (worker count only changes wall
-	// time), so a single candidate covers the family.
-	if len(pcolorSeeds) > 0 {
-		seed := pcolorSeeds[0]
-		cands = append(cands, mk(fmt.Sprintf("pcolor/jp/s%d", seed), func(o *alloc.Options) {
-			o.UsePColor = true
-			o.PColorSeed = seed
-			o.PColorWorkers = alloc.DefaultPColorWorkers
-			o.PColorAlgo = pcolor.JonesPlassmann
-		}))
-	}
-	return cands
 }
-
-// DefaultSeeds is the pcolor seed set Default-based portfolios use
-// when the caller doesn't pick their own.
-var DefaultSeeds = []uint64{1, 7, 42}

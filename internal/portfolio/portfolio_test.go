@@ -106,7 +106,7 @@ func (r *recordSink) close() (events []obs.Event, late int) {
 
 func TestRaceWinnerNotWorseThanAnyCandidate(t *testing.T) {
 	f := compileUnit(t, pressureSrc, "HOT")
-	cands := portfolio.Default(tightOptions(), 1, 7)
+	cands := portfolio.Default(tightOptions())
 	pr, err := portfolio.Race(context.Background(), f, cands, portfolio.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestRaceWinnerNotWorseThanAnyCandidate(t *testing.T) {
 
 func TestRaceDeterministicWinner(t *testing.T) {
 	f := compileUnit(t, pressureSrc, "HOT")
-	cands := portfolio.Default(tightOptions(), 1, 7, 42)
+	cands := portfolio.Default(tightOptions())
 	var winner string
 	var cost int64
 	for trial := 0; trial < 4; trial++ {
@@ -158,7 +158,7 @@ func TestRaceDeterministicWinner(t *testing.T) {
 
 func TestRaceEventAttribution(t *testing.T) {
 	f := compileUnit(t, pressureSrc, "HOT")
-	cands := portfolio.Default(tightOptions(), 1)
+	cands := portfolio.Default(tightOptions())
 	sink := &recordSink{}
 	pr, err := portfolio.Race(context.Background(), f, cands, portfolio.Config{Observer: sink})
 	if err != nil {
@@ -226,7 +226,7 @@ func TestFirstGoodCancelsStragglers(t *testing.T) {
 	// serializes starts, making the cancellation deterministic.
 	opt := alloc.DefaultOptions()
 	opt.KFloat = 16
-	cands := portfolio.Default(opt, 1, 7, 42)
+	cands := portfolio.Default(opt)
 	pr, err := portfolio.Race(context.Background(), f, cands, portfolio.Config{
 		Mode: portfolio.FirstGood, Workers: 1,
 	})
@@ -271,7 +271,7 @@ func TestRaceValidatesCandidates(t *testing.T) {
 
 func TestRaceAdmissionHooks(t *testing.T) {
 	f := compileUnit(t, pressureSrc, "HOT")
-	cands := portfolio.Default(tightOptions(), 1)
+	cands := portfolio.Default(tightOptions())
 	var mu sync.Mutex
 	inFlight, peak, acquired, released := 0, 0, 0, 0
 	cfg := portfolio.Config{
@@ -328,7 +328,7 @@ func TestRaceAdmissionRefused(t *testing.T) {
 // goroutine count to settle back to the baseline.
 func TestRaceNoGoroutineLeak(t *testing.T) {
 	f := compileUnit(t, pressureSrc, "HOT")
-	cands := portfolio.Default(tightOptions(), 1, 7, 42)
+	cands := portfolio.Default(tightOptions())
 	base := runtime.NumGoroutine()
 	for trial := 0; trial < 3; trial++ {
 		if _, err := portfolio.Race(context.Background(), f, cands, portfolio.Config{Observer: &recordSink{}}); err != nil {

@@ -34,7 +34,7 @@ func Float(v float64) Value { return Value{Cls: ir.ClassFloat, F: v} }
 type VM struct {
 	prog *asm.Program
 	Mem  []uint64
-	// Cycles accumulates across calls; reset with ResetCycles.
+	// Cycles accumulates across calls.
 	Cycles uint64
 	// MaxCycles aborts runaway programs (default 4e9).
 	MaxCycles uint64
@@ -52,9 +52,6 @@ type VM struct {
 func New(prog *asm.Program, memWords int) *VM {
 	return &VM{prog: prog, Mem: make([]uint64, memWords), MaxCycles: 4e9, MaxDepth: 64}
 }
-
-// ResetCycles zeroes the cycle counter.
-func (vm *VM) ResetCycles() { vm.Cycles = 0 }
 
 // LoadFloat reads the float at word address a.
 func (vm *VM) LoadFloat(a int64) float64 { return math.Float64frombits(vm.Mem[a]) }

@@ -45,7 +45,7 @@
 // Options misuse fails loudly: Allocate, Assemble, and
 // AssembleContext validate first and return errors matchable with
 // errors.Is against ErrBadK, ErrBadHeuristic, ErrBadMetric,
-// ErrConflictingSpillModes, and ErrBadWorkers.
+// ErrConflictingSpillModes, ErrBadWorkers, and ErrBadMachine.
 //
 // Subpackages under internal/ implement each stage; this package is
 // the stable surface.
@@ -85,15 +85,18 @@ type Heuristic = color.Heuristic
 // cost-blind linear-time comparator of §2.2) — plus the SSA-form
 // chordal allocator, which replaces the whole Figure 4 cycle with
 // construction, pre-spilling, and dominance-order greedy coloring,
-// and George–Appel iterated register coalescing (IRC), which fuses
-// the coalesce pre-pass into simplification so conservative merges
-// retry as the graph shrinks.
+// George–Appel iterated register coalescing (IRC), which fuses the
+// coalesce pre-pass into simplification so conservative merges retry
+// as the graph shrinks, and PColor, the cost-blind Jones–Plassmann
+// first-fit colorer of Rokos, Gorman & Kelly's parallel engine in the
+// cycle's color step.
 const (
 	Chaitin    = color.Chaitin
 	Briggs     = color.Briggs
 	MatulaBeck = color.MatulaBeck
 	SSA        = color.SSA
 	IRC        = color.IRC
+	PColor     = color.PColor
 )
 
 // MachineModel describes a register file beyond its plain per-class
@@ -135,7 +138,6 @@ var (
 	ErrBadMetric             = alloc.ErrBadMetric
 	ErrConflictingSpillModes = alloc.ErrConflictingSpillModes
 	ErrBadWorkers            = alloc.ErrBadWorkers
-	ErrBadPColorAlgo         = alloc.ErrBadPColorAlgo
 	ErrBadMachine            = alloc.ErrBadMachine
 )
 
@@ -271,14 +273,10 @@ const (
 
 // DefaultPortfolio returns the standard candidate set derived from
 // base: Chaitin and Briggs under cost/degree, the cost-only and
-// degree-only spill metrics, smallest-last ordering, the speculative
-// pcolor engine once per seed (portfolio.DefaultSeeds when none are
-// given), and one Jones–Plassmann entrant on the first seed.
-func DefaultPortfolio(base Options, pcolorSeeds ...uint64) []PortfolioCandidate {
-	if len(pcolorSeeds) == 0 {
-		pcolorSeeds = portfolio.DefaultSeeds
-	}
-	return portfolio.Default(base, pcolorSeeds...)
+// degree-only spill metrics, smallest-last ordering, SSA, IRC, and
+// PColor.
+func DefaultPortfolio(base Options) []PortfolioCandidate {
+	return portfolio.Default(base)
 }
 
 // AllocatePortfolio races the candidate strategies for one unit and

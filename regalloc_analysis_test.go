@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"regalloc"
+	"regalloc/internal/asm"
 	"regalloc/internal/color"
 	"regalloc/internal/dataflow"
 	"regalloc/internal/fuzzgen"
@@ -159,7 +160,7 @@ func TestBriggsSpillsSubsetOfChaitin(t *testing.T) {
 		f := prog.Func("FZ").Clone()
 		liverange.Renumber(f)
 		lv := dataflow.ComputeLiveness(f)
-		g := ig.BuildWithLiveness(f, lv, 1, nil)
+		g := ig.BuildWithLiveness(f, lv, nil)
 		costs := spill.Costs(f, spill.DefaultCostParams())
 
 		chaitin := color.Simplify(g, costs, kf, color.Chaitin, color.CostOverDegree)
@@ -182,53 +183,46 @@ func TestBriggsSpillsSubsetOfChaitin(t *testing.T) {
 	}
 }
 
-// TestWorkersEquivalence: the sharded graph build merges
-// deterministically, so Workers must never change an allocation —
-// same colors, same per-pass statistics — on fuzzed routines and on
-// the paper's SVD workload. (On a single-CPU machine the build caps
-// its shard count and the property holds trivially; on multicore CI
-// this exercises the real parallel path, and the internal ig tests
-// force the sharded path regardless.)
+// TestWorkersEquivalence: Workers only sizes the unit pool of
+// whole-program allocation, so assembling every corpus program on
+// one worker and on four must give each unit the same machine code
+// and the same per-pass statistics.
 func TestWorkersEquivalence(t *testing.T) {
-	check := func(t *testing.T, prog *regalloc.Program, name string) {
-		t.Helper()
-		opt := regalloc.DefaultOptions()
-		opt.KInt, opt.KFloat = 8, 4 // pressure enough to spill somewhere
-		base, err := prog.Allocate(name, opt)
+	for _, w := range workloads.All() {
+		prog, err := regalloc.Compile(w.Source)
 		if err != nil {
 			t.Fatal(err)
+		}
+		opt := regalloc.DefaultOptions()
+		opt.Workers = 1
+		seqCode, seqRes, err := prog.Assemble(regalloc.RTPC(), opt)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Program, err)
 		}
 		opt.Workers = 4
-		par, err := prog.Allocate(name, opt)
+		parCode, parRes, err := prog.Assemble(regalloc.RTPC(), opt)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", w.Program, err)
 		}
-		if len(base.Colors) != len(par.Colors) {
-			t.Fatalf("%s: color vector lengths differ: %d vs %d", name, len(base.Colors), len(par.Colors))
-		}
-		for i := range base.Colors {
-			if base.Colors[i] != par.Colors[i] {
-				t.Fatalf("%s: color of v%d differs: %d vs %d", name, i, base.Colors[i], par.Colors[i])
+		for _, name := range prog.Functions() {
+			var a, b bytes.Buffer
+			asm.Fprint(&a, seqCode.Func(name))
+			asm.Fprint(&b, parCode.Func(name))
+			if a.String() != b.String() {
+				t.Fatalf("%s: code differs between Workers=1 and Workers=4", name)
+			}
+			sp, pp := seqRes[name].Passes, parRes[name].Passes
+			if len(sp) != len(pp) {
+				t.Fatalf("%s: pass counts differ: %d vs %d", name, len(sp), len(pp))
+			}
+			for i := range sp {
+				x, y := sp[i], pp[i]
+				x.Build, x.Simplify, x.Color, x.Spill = 0, 0, 0, 0
+				y.Build, y.Simplify, y.Color, y.Spill = 0, 0, 0, 0
+				if x != y {
+					t.Fatalf("%s: pass %d stats differ:\n w1 %+v\n w4 %+v", name, i, x, y)
+				}
 			}
 		}
-		if len(base.Passes) != len(par.Passes) {
-			t.Fatalf("%s: pass counts differ: %d vs %d", name, len(base.Passes), len(par.Passes))
-		}
-		for i := range base.Passes {
-			a, b := base.Passes[i], par.Passes[i]
-			a.Build, a.Simplify, a.Color, a.Spill = 0, 0, 0, 0
-			b.Build, b.Simplify, b.Color, b.Spill = 0, 0, 0, 0
-			if a != b {
-				t.Fatalf("%s: pass %d stats differ:\n w1 %+v\n w4 %+v", name, i, a, b)
-			}
-		}
 	}
-	for _, prog := range fuzzCorpus(t, 10) {
-		check(t, prog, "FZ")
-	}
-	svd, err := regalloc.Compile(workloads.SVD().Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, svd, "SVD")
 }

@@ -153,7 +153,7 @@ func FuzzAllocateExecutes(f *testing.F) {
 			opt := regalloc.DefaultOptions()
 			opt.KInt = k
 			m := regalloc.RTPC().WithGPR(k)
-			cands := regalloc.DefaultPortfolio(opt, 1)
+			cands := regalloc.DefaultPortfolio(opt)
 			code, results, err := prog.AssemblePortfolio(context.Background(), m, cands, regalloc.PortfolioConfig{})
 			if err != nil {
 				t.Fatalf("seed %d portfolio k=%d: assemble: %v\n%s", seed, k, err, src)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"regalloc"
+	"regalloc/internal/fuzzgen"
 	"regalloc/internal/obs/promtext"
 	"regalloc/internal/workloads"
 )
@@ -84,6 +85,27 @@ func TestPortfolioDeterministicWinner(t *testing.T) {
 	}
 }
 
+// TestPortfolioPColorWins pins why pcolor stays in the default
+// portfolio: on fuzzgen seed 40 at 6+6 registers it wins at spill
+// cost 22, and the next-best candidate costs 26.
+func TestPortfolioPColorWins(t *testing.T) {
+	prog, err := regalloc.Compile(fuzzgen.Generate(40, fuzzgen.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := regalloc.DefaultOptions()
+	opt.KInt, opt.KFloat = 6, 6
+	pr, err := prog.AllocatePortfolio(context.Background(), "FZ", regalloc.DefaultPortfolio(opt), regalloc.PortfolioConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := pr.Outcomes[pr.Winner]
+	if win.Name != "pcolor" || win.SpillCostMilli != 22000 || pr.WinMarginMilli != 4000 {
+		t.Fatalf("winner %s at cost %d milli, margin %d, want pcolor at 22000, margin 4000",
+			win.Name, win.SpillCostMilli, pr.WinMarginMilli)
+	}
+}
+
 // TestSummarizePortfolio checks the registry record a race produces:
 // winner summary fields plus the portfolio counts.
 func TestSummarizePortfolio(t *testing.T) {
@@ -126,7 +148,7 @@ func TestPortfolioWinsLabelSetComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := regalloc.DefaultPortfolio(regalloc.DefaultOptions(), 1, 7)
+	cands := regalloc.DefaultPortfolio(regalloc.DefaultOptions())
 	pr, err := prog.AllocatePortfolio(context.Background(), "SVD", cands, regalloc.PortfolioConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +173,7 @@ func TestPortfolioWinsLabelSetComplete(t *testing.T) {
 		t.Fatalf("wins across the candidate set sum to %d, want 1", wins)
 	}
 	// The candidate list includes every allocator family by name.
-	for _, family := range []string{"chaitin", "briggs", "mb", "ssa", "irc"} {
+	for _, family := range []string{"chaitin", "briggs", "mb", "ssa", "irc", "pcolor"} {
 		found := false
 		for _, c := range cands {
 			if c.Name == family {
